@@ -50,7 +50,6 @@ func main() {
 		statsCSV = flag.String("stats-csv", "", "write merged per-experiment run statistics (flows, bytes, retransmissions, FCT/slowdown percentiles) as CSV to this file")
 
 		check    = flag.Bool("check", false, "run under the flight-recorder invariant checker; exit 1 on any violation (alone: incast+link-flap smoke; with -run/-fault: those experiments)")
-		campDoc  = flag.String("campaign", "", "run a declarative campaign document ephemerally (same spec as dcpcampaign; tables to stdout, no bundle)")
 		benchDir = flag.String("bench-json", "", "run the perf workloads and write one BENCH_<name>.json record per workload into this directory")
 
 		benchReps = flag.Int("bench-repeat", 1, "repetitions per benchmark workload; wall numbers report the median, the spread becomes the record's noise figure")
@@ -71,14 +70,6 @@ func main() {
 
 	if *traceOut != "" || *jsonlOut != "" || *metricsOut != "" {
 		if err := observeDemo(*seed, *metricsInt, *traceOut, *jsonlOut, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *campDoc != "" {
-		if err := runCampaignDoc(*campDoc, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,26 +1,18 @@
 // Command dcptables prints the paper's analytic tables (Tables 1–4 and the
 // Fig. 7 packet-rate model) — the results that follow from closed-form
-// models rather than simulation. With -run it additionally renders
-// simulation-backed experiment tables through the same parallel experiment
-// engine as cmd/dcpbench (byte-identical output at any -workers count).
+// models rather than simulation. Simulation-backed tables come from
+// cmd/dcpbench -run.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"dcpsim/internal/analytic"
-	"dcpsim/internal/exp"
-	"dcpsim/internal/exp/pool"
 )
 
 func main() {
 	table := flag.Int("table", 0, "print only table N (1-4), 7 for Fig 7; 0 = all")
-	run := flag.String("run", "", "also render simulation experiment tables: id, 'all', or 'quick'")
-	seed := flag.Int64("seed", 42, "simulation seed for -run")
-	scale := flag.Float64("scale", 0.25, "workload scale for -run (1.0 ≈ paper-sized)")
-	workers := flag.Int("workers", pool.DefaultWorkers(), "worker goroutines for -run (1 = serial; output bytes are identical at any count)")
 	flag.Parse()
 
 	all := map[int]func() string{
@@ -30,45 +22,15 @@ func main() {
 		4: func() string { return analytic.Table4(analytic.DefaultResources()).String() },
 		7: func() string { return analytic.Fig7(analytic.DefaultPPS(), nil).String() },
 	}
-	switch {
-	case *table != 0:
-		if f, ok := all[*table]; ok {
-			fmt.Println(f())
-		} else {
-			fmt.Println("unknown table; choose 1, 2, 3, 4 or 7")
-		}
-	case *run == "":
+	if *table == 0 {
 		for _, k := range []int{1, 2, 3, 4, 7} {
 			fmt.Println(all[k]())
 		}
-	}
-
-	if *run == "" {
 		return
 	}
-	var todo []exp.Experiment
-	switch *run {
-	case "all":
-		todo = exp.All()
-	case "quick":
-		for _, e := range exp.All() {
-			if !e.Heavy {
-				todo = append(todo, e)
-			}
-		}
-	default:
-		e := exp.ByID(*run)
-		if e == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try dcpbench -list)\n", *run)
-			os.Exit(1)
-		}
-		todo = []exp.Experiment{*e}
-	}
-	cfg := exp.Config{Seed: *seed, Scale: *scale}.WithWorkers(*workers)
-	for _, r := range exp.RunRegistry(cfg, todo) {
-		fmt.Printf("### %s — %s (seed=%d scale=%.2f)\n\n", r.ID, r.Desc, *seed, *scale)
-		for _, t := range r.Tables {
-			fmt.Println(t.String())
-		}
+	if f, ok := all[*table]; ok {
+		fmt.Println(f())
+	} else {
+		fmt.Println("unknown table; choose 1, 2, 3, 4 or 7")
 	}
 }

@@ -474,7 +474,8 @@ func Run(c *Campaign, docBytes []byte, opts Options) (*Report, error) {
 }
 
 // RenderTables renders every unit's tables plus one assembled table per
-// scenario — the bundle's tables.txt and dcpbench -campaign's stdout.
+// scenario — the bundle's tables.txt, or dcpcampaign's stdout without a
+// bundle directory.
 func RenderTables(c *Campaign, results []*UnitResult) string {
 	var b strings.Builder
 	doc := c.Doc

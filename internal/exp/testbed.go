@@ -19,17 +19,26 @@ import (
 // table rendering below the sweep consumes cell results in axis order.
 // Cells share nothing mutable, so worker count never changes output bytes.
 
-// onePathNet builds host—switch—switch—host with a single cross link, the
-// Fig. 10/17 forced-loss pipeline.
-func onePathNet(sch Scheme, lossRate float64) func(*sim.Engine) *topo.Network {
+// PairNet builds host—switch—switch—host over cross parallel links, the
+// switches configured for sch and then adjusted by tweak (nil = as
+// configured): the single-flow rig of the transport tests.
+func PairNet(sch Scheme, cross int, tweak func(*fabric.SwitchConfig)) func(*sim.Engine) *topo.Network {
 	return func(eng *sim.Engine) *topo.Network {
 		cfg := topo.DefaultDumbbell()
 		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
+		cfg.CrossLinks = cross
 		cfg.Switch = SwitchConfigFor(sch)
-		cfg.Switch.LossRate = lossRate
+		if tweak != nil {
+			tweak(&cfg.Switch)
+		}
 		return topo.Dumbbell(eng, cfg)
 	}
+}
+
+// onePathNet is PairNet over a single cross link at a forced loss rate,
+// the Fig. 10/17 pipeline.
+func onePathNet(sch Scheme, lossRate float64) func(*sim.Engine) *topo.Network {
+	return PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = lossRate })
 }
 
 // runSingleFlow measures the goodput of one size-byte flow under a scheme.

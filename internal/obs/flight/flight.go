@@ -150,19 +150,30 @@ type chain struct {
 	ev    []obs.Event
 }
 
-func newChain(psn, msn uint32) *chain {
-	return &chain{psn: psn, msn: msn,
+// newChain returns an empty chain, reusing a retired one when it can: a
+// chain is allocated per sent PSN, so recycling keeps the checker's
+// allocation rate flat.
+func (c *Checker) newChain(psn, msn uint32) *chain {
+	var ch *chain
+	if n := len(c.free); n > 0 {
+		ch, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ch = new(chain)
+	}
+	*ch = chain{psn: psn, msn: msn,
 		sendAt: unset, lossAt: unset, lastLoss: unset, lastBoun: unset,
 		lastHORet: unset, lastFetch: unset, lastRetx: unset,
-		deliverAt: unset, placeAt: unset}
+		deliverAt: unset, placeAt: unset, ev: ch.ev[:0]}
+	return ch
 }
 
 // msgState is the receiver-side exactly-once evidence for one message: the
-// set of PSNs placed in the current retry epoch, mirrored against the
-// receiver's own per-message counter.
+// set of PSNs placed in the current retry epoch (a bitmask per 64-PSN
+// word), mirrored against the receiver's own per-message counter.
 type msgState struct {
 	epoch  int64
-	placed map[uint32]bool
+	placed map[uint32]uint64
+	n      int64 // distinct PSNs in placed
 }
 
 // flowState is everything the checker tracks about one flow.
@@ -197,6 +208,7 @@ type Checker struct {
 
 	flows map[uint64]*flowState
 	order []uint64 // flow IDs in first-seen order
+	free  []*chain // retired chains for reuse
 
 	lat [numLats]stats.LogHist
 
@@ -266,7 +278,7 @@ func (c *Checker) record(ch *chain, e *obs.Event) {
 func (c *Checker) chainFor(f *flowState, e *obs.Event) *chain {
 	ch := f.chains[e.PSN]
 	if ch == nil {
-		ch = newChain(e.PSN, e.MSN)
+		ch = c.newChain(e.PSN, e.MSN)
 		f.chains[e.PSN] = ch
 	}
 	return ch
@@ -281,8 +293,9 @@ func (c *Checker) sample(lat int, from, to units.Time) {
 }
 
 // retire finalizes a chain: recovery and clean-delivery latencies, per-flow
-// recovery aggregates.
+// recovery aggregates. The chain is then free for reuse.
 func (c *Checker) retire(f *flowState, ch *chain) {
+	c.free = append(c.free, ch)
 	if ch.lossAt >= 0 {
 		end := ch.placeAt
 		if end < 0 {
@@ -437,7 +450,7 @@ func (c *Checker) OnEvent(e *obs.Event) {
 		f.counts[cntDeliver]++
 		ch := f.chains[e.PSN]
 		if ch == nil {
-			ch = newChain(e.PSN, e.MSN)
+			ch = c.newChain(e.PSN, e.MSN)
 		} else {
 			delete(f.chains, e.PSN)
 		}
@@ -467,10 +480,10 @@ func (c *Checker) OnEvent(e *obs.Event) {
 	case obs.EvMsgComplete:
 		f.counts[cntMsgComplete]++
 		if m := f.msgs[e.MSN]; m != nil {
-			if int64(len(m.placed)) != e.Aux {
+			if m.n != e.Aux {
 				c.violate(InvCounterSetMismatch, e, f.chains[e.PSN], fmt.Sprintf(
 					"message completed with counter %d but %d distinct PSNs placed",
-					e.Aux, len(m.placed)))
+					e.Aux, m.n))
 			}
 			delete(f.msgs, e.MSN)
 		}
@@ -505,7 +518,7 @@ func (c *Checker) checkPlace(f *flowState, e *obs.Event, ch *chain) {
 	counter := e.Aux & 0xffffffff
 	m := f.msgs[e.MSN]
 	if m == nil {
-		m = &msgState{epoch: epoch, placed: make(map[uint32]bool)}
+		m = &msgState{epoch: epoch, placed: make(map[uint32]uint64)}
 		f.msgs[e.MSN] = m
 	}
 	switch {
@@ -513,18 +526,22 @@ func (c *Checker) checkPlace(f *flowState, e *obs.Event, ch *chain) {
 		// The receiver reset its count for a new retry epoch; the placed
 		// set resets with it.
 		m.epoch = epoch
-		m.placed = make(map[uint32]bool)
+		clear(m.placed)
+		m.n = 0
 	case epoch < m.epoch:
 		c.violate(InvEpochRegression, e, ch, fmt.Sprintf(
 			"receiver accepted epoch %d after advancing to %d", epoch, m.epoch))
 	}
-	if m.placed[e.PSN] {
+	w, bit := e.PSN/64, uint64(1)<<(e.PSN%64)
+	if m.placed[w]&bit != 0 {
 		c.violate(InvDuplicatePlacement, e, ch, fmt.Sprintf(
 			"PSN placed twice in epoch %d (payload double-counted)", epoch))
+	} else {
+		m.placed[w] |= bit
+		m.n++
 	}
-	m.placed[e.PSN] = true
-	if int64(len(m.placed)) != counter {
+	if m.n != counter {
 		c.violate(InvCounterSetMismatch, e, ch, fmt.Sprintf(
-			"receiver counter %d, distinct PSNs placed %d", counter, len(m.placed)))
+			"receiver counter %d, distinct PSNs placed %d", counter, m.n))
 	}
 }

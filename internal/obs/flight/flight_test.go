@@ -448,6 +448,58 @@ func TestCheckerDetectsStaleEpochRetransmit(t *testing.T) {
 	}
 }
 
+// TestEverySchemeChecked runs every registered scheme under the checker on
+// a lossy dumbbell. Each must come out violation-free with both flows
+// started, done, and every packet placed: a scheme whose endpoint emitted
+// no trace events would pass the invariants vacuously.
+func TestEverySchemeChecked(t *testing.T) {
+	idx := map[string]int{}
+	for i, n := range flight.CountNames() {
+		idx[n] = i
+	}
+	const size = 256 << 10
+	for _, name := range exp.SchemeNames() {
+		sch, _ := exp.SchemeByName(name)
+		t.Run(name, func(t *testing.T) {
+			s := exp.NewSim(5, sch, func(eng *sim.Engine) *topo.Network {
+				c := topo.DefaultDumbbell()
+				c.HostsPerSwitch = 2
+				c.CrossLinks = 1
+				c.Switch = exp.SwitchConfigFor(sch)
+				if !sch.Lossless {
+					c.Switch.LossRate = 0.005
+				}
+				return topo.Dumbbell(eng, c)
+			})
+			ck := attachChecker(s, flight.Config{})
+			s.ScheduleFlows([]*workload.Flow{
+				{ID: 1, Src: 0, Dst: 2, Size: size},
+				{ID: 2, Src: 1, Dst: 3, Size: size},
+			})
+			if left := s.Run(units.Second); left != 0 {
+				t.Fatalf("%d flows unfinished", left)
+			}
+			r := ck.Finish()
+			if r.TotalViolations != 0 {
+				var buf bytes.Buffer
+				r.WriteText(&buf)
+				t.Fatalf("violations:\n%s", buf.String())
+			}
+			if r.FlowsDone != 2 {
+				t.Fatalf("checker saw %d of 2 flows complete", r.FlowsDone)
+			}
+			for _, f := range r.Flows {
+				if !f.Started || f.Counts[idx["sent"]] == 0 {
+					t.Errorf("flow %d: started=%v sent=%d", f.Flow, f.Started, f.Counts[idx["sent"]])
+				}
+				if n := f.Counts[idx["place"]]; n < size/1000 {
+					t.Errorf("flow %d: %d placements, want at least %d", f.Flow, n, size/1000)
+				}
+			}
+		})
+	}
+}
+
 // TestRegistryRunsChecked attaches the checker to every simulation built by
 // every registered experiment — including the fault-injection families —
 // via exp.NewSimHook, and requires a clean bill: zero invariant violations

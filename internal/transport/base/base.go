@@ -9,7 +9,6 @@ import (
 	"dcpsim/internal/nic"
 	"dcpsim/internal/obs"
 	"dcpsim/internal/packet"
-	"dcpsim/internal/sim"
 	"dcpsim/internal/stats"
 	"dcpsim/internal/units"
 	"dcpsim/internal/workload"
@@ -160,34 +159,15 @@ type QP interface {
 	Finished() bool
 }
 
-// Host is the endpoint skeleton transports embed.
-type Host struct {
-	NIC *nic.NIC
-	Eng *sim.Engine
-	Env *Env
-
-	ctrl []*packet.Packet
-	head int
-
-	qps      []QP
-	rr       int
-	finished int
-}
-
-// NewHost binds the skeleton to a NIC and environment.
-func NewHost(n *nic.NIC, env *Env) Host {
-	return Host{NIC: n, Eng: n.Engine(), Env: env}
-}
-
 // QueueCtrl enqueues a control-plane packet (ACK, CNP, bounced HO) for
 // strict-priority transmission and kicks the NIC.
-func (h *Host) QueueCtrl(p *packet.Packet) {
+func (h *Endpoint) QueueCtrl(p *packet.Packet) {
 	h.ctrl = append(h.ctrl, p)
 	h.NIC.Kick()
 }
 
 // PopCtrl removes the next control packet, or nil.
-func (h *Host) PopCtrl() *packet.Packet {
+func (h *Endpoint) PopCtrl() *packet.Packet {
 	if h.head >= len(h.ctrl) {
 		return nil
 	}
@@ -202,7 +182,7 @@ func (h *Host) PopCtrl() *packet.Packet {
 }
 
 // AddQP registers a sender QP and kicks the NIC.
-func (h *Host) AddQP(q QP) {
+func (h *Endpoint) AddQP(q QP) {
 	h.qps = append(h.qps, q)
 	h.NIC.Kick()
 }
@@ -211,7 +191,7 @@ func (h *Host) AddQP(q QP) {
 // never PFC-paused: ACK/CNP ride a separate priority), then round-robin
 // over eligible QPs. If nothing is eligible but a QP reported a pacing
 // deadline, a NIC kick is scheduled.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
+func (h *Endpoint) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
 	if p := h.PopCtrl(); p != nil {
 		return p
 	}
@@ -243,7 +223,7 @@ func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
 }
 
 // compact drops finished QPs when they dominate the slice.
-func (h *Host) compact() {
+func (h *Endpoint) compact() {
 	fin := 0
 	for _, q := range h.qps {
 		if q == nil || q.Finished() {

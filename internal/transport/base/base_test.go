@@ -4,11 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dcpsim/internal/cc"
 	"dcpsim/internal/fabric"
 	"dcpsim/internal/nic"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
+	"dcpsim/internal/stats"
 	"dcpsim/internal/units"
+	"dcpsim/internal/workload"
 )
 
 func TestNumPackets(t *testing.T) {
@@ -122,13 +125,14 @@ type sinkNode struct{}
 func (s *sinkNode) Receive(p *packet.Packet, _ int) {}
 func (s *sinkNode) AddIngress(w *fabric.Wire) int   { return 0 }
 
-func newHost(eng *sim.Engine) *Host {
+func newHost(eng *sim.Engine) *Endpoint { return newEndpoint(eng, Scheme{}) }
+
+func newEndpoint(eng *sim.Engine, s Scheme) *Endpoint {
 	n := nic.New(eng, 0, 100*units.Gbps)
 	n.SetUplink(fabric.Attach(eng, 0, &sinkNode{}))
 	env := &Env{}
 	env.Defaults()
-	h := NewHost(n, env)
-	return &h
+	return NewEndpoint(n, env, s)
 }
 
 func TestCtrlQueueFIFOAndPriority(t *testing.T) {
@@ -223,5 +227,125 @@ func TestCompactDropsFinishedQPs(t *testing.T) {
 	h.Dequeue(0, false) // triggers compaction sweep
 	if len(h.qps) > 2 {
 		t.Fatalf("compact left %d QPs", len(h.qps))
+	}
+}
+
+// probe is a scheme whose sender and receiver record what the skeleton
+// hands them.
+type probe struct {
+	*SendQP
+	acks, rx  []*packet.Packet
+	congested int
+}
+
+func (p *probe) Next(units.Time) (*packet.Packet, units.Time) { return nil, 0 }
+func (p *probe) OnAck(a *packet.Packet)                       { p.acks = append(p.acks, a) }
+func (p *probe) Receive(d *packet.Packet)                     { p.rx = append(p.rx, d) }
+
+// congestionCC counts congestion signals on the probe.
+type congestionCC struct {
+	*cc.Window
+	p *probe
+}
+
+func (c congestionCC) OnCongestion(units.Time) { c.p.congested++ }
+
+func newProbeEndpoint(eng *sim.Engine, s Scheme) (*Endpoint, *probe) {
+	pr := &probe{}
+	s.NewSender = func(q *SendQP) Sender { pr.SendQP = q; return pr }
+	s.NewReceiver = func(*Endpoint, *packet.Packet) Receiver { return pr }
+	ep := newEndpoint(eng, s)
+	ep.Env.CC = func(*sim.Engine, units.Rate, units.Time) cc.Controller { return congestionCC{&cc.Window{}, pr} }
+	return ep, pr
+}
+
+func TestEndpointDispatch(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe"})
+	ep.Env.Collector = stats.NewCollector()
+	ep.StartFlow(&workload.Flow{ID: 7, Src: 0, Dst: 1, Size: 2500})
+	if pr.Pkts != 3 || pr.PayloadAt(2) != 500 || ep.Sender(7) != pr {
+		t.Fatal("sender core")
+	}
+	ep.Handle(packet.AckPacket(7, 1, 0, 1))
+	ep.Handle(&packet.Packet{Kind: packet.KindCNP, FlowID: 7})
+	ep.Handle(packet.DataPacket(9, 1, 0, 0, 0, 100))
+	if len(pr.acks) != 1 || pr.congested != 1 || len(pr.rx) != 1 || ep.Receiver(9) != pr {
+		t.Fatalf("acks=%d cnps=%d rx=%d", len(pr.acks), pr.congested, len(pr.rx))
+	}
+	pr.Complete(eng.Now())
+	ep.Handle(packet.AckPacket(7, 1, 0, 2))
+	ep.Handle(&packet.Packet{Kind: packet.KindCNP, FlowID: 7})
+	if len(pr.acks) != 1 || pr.congested != 1 || !pr.Finished() || !ep.Env.Collector.Flow(7).Done {
+		t.Fatal("a finished flow must ignore ACKs and CNPs")
+	}
+}
+
+func TestEndpointCNPRateLimit(t *testing.T) {
+	for _, dcp := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		ep, _ := newProbeEndpoint(eng, Scheme{Name: "probe", CNP: true, DCPTags: dcp})
+		for i := 0; i < 3; i++ {
+			d := packet.DataPacket(1, 1, 0, uint32(i), 0, 100)
+			d.ECN = true
+			ep.Handle(d)
+		}
+		cnp := ep.PopCtrl()
+		if cnp == nil || cnp.Kind != packet.KindCNP || cnp.Dst != 1 || ep.PopCtrl() != nil {
+			t.Fatal("one CNP per interval")
+		}
+		if want := map[bool]packet.Tag{false: packet.TagNonDCP, true: packet.TagAck}[dcp]; cnp.Tag != want {
+			t.Fatalf("CNP tag %v, want %v", cnp.Tag, want)
+		}
+	}
+}
+
+func TestEndpointHOPolicies(t *testing.T) {
+	for _, pol := range []HOPolicy{HOIgnore, HOBounce, HOReceive} {
+		eng := sim.NewEngine(1)
+		ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe", HO: pol})
+		ho := packet.DataPacket(1, 1, 0, 4, 0, 100)
+		ho.Trim()
+		ep.Handle(ho)
+		bounced := ep.PopCtrl()
+		if (bounced != nil) != (pol == HOBounce) || (len(pr.rx) == 1) != (pol == HOReceive) {
+			t.Fatalf("policy %d: bounced=%v received=%d", pol, bounced != nil, len(pr.rx))
+		}
+		if bounced != nil && (!bounced.Echoed || bounced.Dst != 1) {
+			t.Fatal("bounce must echo the header back to its sender")
+		}
+	}
+}
+
+func TestStackDelayDefersArrivals(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe", StackDelay: units.Microsecond})
+	ep.Handle(packet.DataPacket(1, 1, 0, 0, 0, 100))
+	if len(pr.rx) != 0 {
+		t.Fatal("arrival processed before the stack delay")
+	}
+	eng.Run(units.Millisecond)
+	if len(pr.rx) != 1 {
+		t.Fatal("arrival lost")
+	}
+}
+
+func TestReorderAccept(t *testing.T) {
+	ep, _ := newProbeEndpoint(sim.NewEngine(1), Scheme{Name: "probe"})
+	first := packet.DataPacket(1, 1, 0, 2, 0, 100)
+	first.MsgLen = 3
+	r := NewReorder(ep, first)
+	for i, c := range []struct {
+		psn  uint32
+		new  bool
+		epsn uint32
+	}{{2, true, 0}, {2, false, 0}, {0, true, 1}, {1, true, 3}, {0, false, 3}} {
+		p := packet.DataPacket(1, 1, 0, c.psn, 0, 100)
+		if got := r.Accept(p); got != c.new || r.EPSN != c.epsn {
+			t.Fatalf("step %d: accept(%d) = %v epsn %d", i, c.psn, got, r.EPSN)
+		}
+	}
+	if !r.Done() || r.StateBytes() != 8 {
+		t.Fatal("reorder completion")
 	}
 }

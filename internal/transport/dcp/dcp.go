@@ -13,76 +13,20 @@ import (
 	"dcpsim/internal/obs"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
 	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
-// Host is a DCP endpoint on one NIC.
-type Host struct {
-	base.Host
-
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
-// New builds a DCP endpoint.
+// New builds a DCP endpoint: DCP-tagged traffic, DCQCN notifications, and
+// trimmed headers bounced back to their sender.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "dcp" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	if h.Env.Trace != nil {
-		h.Env.Trace.Flow(h.Eng.Now(), obs.EvFlowStart, f.Src, f.ID, f.Size)
-	}
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindHO:
-		if p.Echoed {
-			// An HO packet bounced back to us: we are the sender.
-			if qp := h.send[p.FlowID]; qp != nil {
-				qp.onHO(p)
-			}
-			return
-		}
-		// Receiver side: swap source and destination and forward the HO
-		// packet to the sender (§4.1 step 2).
-		if h.Env.Trace != nil {
-			h.Env.Trace.Packet(h.Eng.Now(), obs.EvHOBounce, h.NIC.ID(), -1, p, 0)
-		}
-		p.Bounce()
-		h.QueueCtrl(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport via the base skeleton.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "dcp", DCPTags: true, CNP: true, HO: base.HOBounce,
+		NewSender: newSenderQP,
+		NewReceiver: func(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+			return &recvQP{ep: ep, msgs: make(map[uint32]*recvMsg)}
+		},
+	})
 }
 
 // ---------- sender ----------
@@ -107,19 +51,14 @@ const (
 )
 
 type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
+	*base.SendQP
 
-	msgs      []*senderMsg
-	totalPkts uint32
+	msgs []*senderMsg
 
 	nextPSN  uint32 // next new-data PSN
 	unaMSN   uint32 // oldest unacknowledged message
 	inflight int    // payload bytes believed in flight
 
-	sentBytes  int64
 	ackedBytes int64
 
 	// RetransQ machinery (§4.3): entries live in host memory; the Tx path
@@ -132,30 +71,24 @@ type senderQP struct {
 
 	timer   *sim.Timer
 	backoff uint // consecutive coarse timeouts (exponential backoff)
-	done    bool
 }
 
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
+func newSenderQP(q *base.SendQP) base.Sender {
+	env, f := q.Env(), q.Flow
+	qp := &senderQP{SendQP: q}
 	var psn uint32
 	for _, sz := range base.Messages(f.Size, env.MessageSize) {
 		n := base.NumPackets(sz, env.MTU)
 		qp.msgs = append(qp.msgs, &senderMsg{size: sz, basePSN: psn, npkts: n})
 		psn += n
 	}
-	qp.totalPkts = psn
+	q.Pkts = psn
 	outstanding := len(qp.msgs)
 	if outstanding > env.DCP.MaxOutstandingMsgs {
 		outstanding = env.DCP.MaxOutstandingMsgs
 	}
-	qp.rec.NoteSendState(senderFixedState + int64(outstanding)*senderMsgState)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
+	q.Rec.NoteSendState(senderFixedState + int64(outstanding)*senderMsgState)
+	qp.timer = q.NewTimer(qp.onTimeout)
 	qp.timer.Reset(env.DCP.Timeout)
 	if env.Metrics != nil {
 		env.Metrics.Gauge(fmt.Sprintf("flow%d.inflight_bytes", f.ID),
@@ -163,11 +96,11 @@ func newSenderQP(h *Host, f *workload.Flow) *senderQP {
 		env.Metrics.Gauge(fmt.Sprintf("flow%d.retransq_depth", f.ID),
 			func() float64 { return float64(qp.rq.Len()) })
 		env.Metrics.Gauge(fmt.Sprintf("flow%d.cc_rate_gbps", f.ID),
-			func() float64 { return qp.ctl.Rate().Gigabits() })
+			func() float64 { return q.CC.Rate().Gigabits() })
 	}
 	if env.Trace != nil {
 		tr, node, id := env.Trace, f.Src, f.ID
-		cc.SetTrace(qp.ctl, func(now units.Time, r units.Rate) {
+		cc.SetTrace(q.CC, func(now units.Time, r units.Rate) {
 			tr.CCRate(now, node, id, r)
 		})
 	}
@@ -188,16 +121,10 @@ func (qp *senderQP) msgForPSN(psn uint32) (uint32, *senderMsg) {
 	return uint32(lo), qp.msgs[lo]
 }
 
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
 // Next implements base.QP: fetched retransmissions first, then
 // timeout-fallback resends, then new data, all gated by the CC module.
 func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done {
-		return nil, 0
-	}
-	env := qp.h.Env
+	env := qp.Env()
 
 	// 1. HO-triggered retransmissions from the fetched batch.
 	for len(qp.fetched) > 0 {
@@ -210,7 +137,7 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 		}
 		size := base.PayloadAt(m.size, env.MTU, e.Offset)
 		if !env.DCP.UncontrolledRetrans {
-			ok, at := qp.ctl.CanSend(now, qp.inflight, size)
+			ok, at := qp.CC.CanSend(now, qp.inflight, size)
 			if !ok {
 				return nil, at
 			}
@@ -229,7 +156,7 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 			continue
 		}
 		size := base.PayloadAt(m.size, env.MTU, base.SeqDiff(psn, m.basePSN))
-		ok, at := qp.ctl.CanSend(now, qp.inflight, size)
+		ok, at := qp.CC.CanSend(now, qp.inflight, size)
 		if !ok {
 			return nil, at
 		}
@@ -242,131 +169,105 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 	}
 
 	// 3. New data, bounded by the outstanding-message cap.
-	if base.SeqLess(qp.nextPSN, qp.totalPkts) {
+	if base.SeqLess(qp.nextPSN, qp.Pkts) {
 		msn, m := qp.msgForPSN(qp.nextPSN)
 		if base.SeqGEQ(msn, qp.unaMSN+uint32(env.DCP.MaxOutstandingMsgs)) {
 			return nil, 0 // wait for eMSN to advance
 		}
 		off := base.SeqDiff(qp.nextPSN, m.basePSN)
 		size := base.PayloadAt(m.size, env.MTU, off)
-		ok, at := qp.ctl.CanSend(now, qp.inflight, size)
+		ok, at := qp.CC.CanSend(now, qp.inflight, size)
 		if !ok {
 			return nil, at
 		}
 		psn := qp.nextPSN
 		qp.nextPSN++
-		qp.rec.DataPkts++
-		p := qp.emit(now, psn, msn, m, off, false)
-		p.Retransmitted = false
-		return p, 0
+		return qp.emit(now, psn, msn, m, off, false), 0
 	}
 	return nil, 0
 }
 
 func (qp *senderQP) emit(now units.Time, psn, msn uint32, m *senderMsg, off uint32, retrans bool) *packet.Packet {
-	env := qp.h.Env
-	size := base.PayloadAt(m.size, env.MTU, off)
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, msn, size)
+	size := base.PayloadAt(m.size, qp.Env().MTU, off)
+	p := packet.DataPacket(qp.Flow.ID, qp.Flow.Src, qp.Flow.Dst, psn, msn, size)
 	p.MsgLen = m.npkts
 	p.MsgOffset = off
 	p.SSN = msn
 	p.SRetryNo = m.retryNo
 	p.SentAt = now
 	p.Retransmitted = retrans
-	if retrans {
-		qp.rec.RetransPkts++
-		if env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: now, Type: obs.EvRetransmit, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: psn, MSN: msn, Size: int32(size), Aux: int64(m.retryNo)})
-		}
-	} else if env.Trace != nil {
-		env.Trace.Emit(obs.Event{At: now, Type: obs.EvSend, Node: qp.flow.Src, Port: -1,
-			Flow: qp.flow.ID, PSN: psn, MSN: msn, Size: int32(size), Aux: int64(m.retryNo)})
-	}
+	qp.Sent(now, p)
 	qp.inflight += size
-	qp.sentBytes += int64(size)
-	qp.ctl.OnSent(now, p.Size)
+	qp.CC.OnSent(now, p.Size)
 	return p
 }
 
 // maybeFetch starts a PCIe batch fetch from the RetransQ when the RNIC has
-// no fetched entries in hand (§4.3 steps 1–3).
+// no fetched entries in hand (§4.3 steps 1–3). The PerHOFetch strawman
+// fetches one entry per WQE fetch + data fetch (two PCIe RTTs).
 func (qp *senderQP) maybeFetch() {
-	if qp.fetching || len(qp.fetched) > 0 || qp.rq.Len() == 0 || qp.done {
+	if qp.fetching || len(qp.fetched) > 0 || qp.rq.Len() == 0 || qp.Finished() {
 		return
 	}
 	qp.fetching = true
-	env := qp.h.Env
+	env := qp.Env()
+	rtt, limit := env.DCP.PCIe.RTT, nic.BatchLimit
 	if env.DCP.PerHOFetch {
-		// Strawman: one entry per WQE fetch + data fetch (two PCIe RTTs).
-		qp.h.Eng.AfterComp(2*env.DCP.PCIe.RTT, sim.CompTransport, func() {
-			qp.fetching = false
-			batch := qp.rq.FetchBatch(1)
-			qp.fetched = append(qp.fetched, batch...)
-			qp.traceFetch(batch)
-			qp.h.NIC.Kick()
-		})
-		return
+		rtt, limit = 2*rtt, 1
 	}
-	qp.h.Eng.AfterComp(env.DCP.PCIe.RTT, sim.CompTransport, func() {
+	qp.Endpoint().Eng.AfterComp(rtt, sim.CompTransport, func() {
 		qp.fetching = false
-		batch := qp.rq.FetchBatch(nic.BatchLimit)
+		batch := qp.rq.FetchBatch(limit)
 		qp.fetched = append(qp.fetched, batch...)
 		qp.traceFetch(batch)
-		qp.h.NIC.Kick()
+		qp.Kick()
 	})
 }
 
 // traceFetch records one EvRQFetch per entry when its PCIe fetch completes
 // (Aux = the entry's retry epoch at push time).
 func (qp *senderQP) traceFetch(batch []nic.RetransEntry) {
-	env := qp.h.Env
-	if env.Trace == nil {
+	tr := qp.Env().Trace
+	if tr == nil {
 		return
 	}
-	now := qp.h.Eng.Now()
+	now := qp.Now()
 	for _, e := range batch {
-		env.Trace.Emit(obs.Event{At: now, Type: obs.EvRQFetch, Node: qp.flow.Src, Port: -1,
-			Flow: qp.flow.ID, PSN: e.PSN, MSN: e.MSN, Aux: int64(e.Epoch)})
+		tr.Emit(obs.Event{At: now, Type: obs.EvRQFetch, Node: qp.Flow.Src, Port: -1,
+			Flow: qp.Flow.ID, PSN: e.PSN, MSN: e.MSN, Aux: int64(e.Epoch)})
 	}
 }
 
-// onHO receives a bounced HO packet: push a retransmission entry (the
+// OnHO receives a bounced HO packet: push a retransmission entry (the
 // Rx-path DMA write) and kick the Tx path.
-func (qp *senderQP) onHO(p *packet.Packet) {
-	if qp.done {
-		return
-	}
+func (qp *senderQP) OnHO(p *packet.Packet) {
 	msn, m := qp.msgForPSN(p.PSN)
 	if m.acked || base.SeqLess(msn, qp.unaMSN) {
 		return // stale: the message already completed
 	}
-	qp.rec.HOTriggers++
+	qp.Rec.HOTriggers++
 	// The HO packet is an explicit loss notification: the named packet is
 	// no longer in flight, so release its window share before the
 	// (CC-regulated) retransmission claims it again.
 	off := base.SeqDiff(p.PSN, m.basePSN)
-	qp.inflight -= base.PayloadAt(m.size, qp.h.Env.MTU, off)
+	qp.inflight -= base.PayloadAt(m.size, qp.Env().MTU, off)
 	if qp.inflight < 0 {
 		qp.inflight = 0
 	}
 	qp.rq.Push(nic.RetransEntry{MSN: msn, PSN: p.PSN, Offset: off, Epoch: m.retryNo})
-	if env := qp.h.Env; env.Trace != nil {
-		env.Trace.Emit(obs.Event{At: qp.h.Eng.Now(), Type: obs.EvHOReturn, Node: qp.flow.Src, Port: -1,
+	if tr := qp.Env().Trace; tr != nil {
+		tr.Emit(obs.Event{At: qp.Now(), Type: obs.EvHOReturn, Node: qp.Flow.Src, Port: -1,
 			Flow: p.FlowID, PSN: p.PSN, MSN: msn, Size: int32(p.Size), Aux: int64(qp.rq.Len())})
 	}
 	qp.maybeFetch()
-	qp.h.NIC.Kick()
+	qp.Kick()
 }
 
-// onAck processes a DCP ACK: advance unaMSN to the carried eMSN, refresh
+// OnAck processes a DCP ACK: advance unaMSN to the carried eMSN, refresh
 // the coarse timer, update flow control, and complete the flow when every
 // message is acknowledged.
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
+func (qp *senderQP) OnAck(p *packet.Packet) {
+	now := qp.Now()
 	if p.AckBytes > qp.ackedBytes {
 		delta := p.AckBytes - qp.ackedBytes
 		qp.ackedBytes = p.AckBytes
@@ -378,7 +279,7 @@ func (qp *senderQP) onAck(p *packet.Packet) {
 		if p.SentAt > 0 {
 			rtt = now - p.SentAt
 		}
-		qp.ctl.OnAck(now, int(delta), rtt)
+		qp.CC.OnAck(now, int(delta), rtt)
 	}
 	if base.SeqLess(qp.unaMSN, p.EMSN) {
 		for i := qp.unaMSN; base.SeqLess(i, p.EMSN) && i < uint32(len(qp.msgs)); i++ {
@@ -386,46 +287,34 @@ func (qp *senderQP) onAck(p *packet.Packet) {
 		}
 		qp.unaMSN = p.EMSN
 		qp.backoff = 0
-		qp.timer.Reset(qp.h.Env.DCP.Timeout)
+		qp.timer.Reset(qp.Env().DCP.Timeout)
 		if base.SeqGEQ(qp.unaMSN, uint32(len(qp.msgs))) {
-			qp.complete(now)
+			qp.Complete(now)
 			return
 		}
 	}
-	qp.h.NIC.Kick()
-}
-
-func (qp *senderQP) complete(now units.Time) {
-	qp.done = true
-	qp.timer.Stop()
-	qp.ctl.Close()
-	if env := qp.h.Env; env.Trace != nil {
-		env.Trace.Flow(now, obs.EvFlowDone, qp.flow.Src, qp.flow.ID, qp.sentBytes)
-	}
-	qp.h.Env.Collector.Done(qp.flow.ID, now)
+	qp.Kick()
 }
 
 // onTimeout is the coarse-grained fallback (§4.5): bump the unaMSN-th
 // message's retry epoch and resend all of its packets through the normal
 // (CC-regulated) send path.
 func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
-	}
+	env := qp.Env()
 	if qp.nextPSN == 0 {
 		// Nothing sent yet (flow starved by CC): just re-arm.
-		qp.timer.Reset(qp.h.Env.DCP.Timeout)
+		qp.timer.Reset(env.DCP.Timeout)
 		return
 	}
 	m := qp.msgs[qp.unaMSN]
 	m.retryNo++
-	qp.rec.Timeouts++
-	if env := qp.h.Env; env.Trace != nil {
-		now := qp.h.Eng.Now()
-		env.Trace.Emit(obs.Event{At: now, Type: obs.EvTimeout, Node: qp.flow.Src, Port: -1,
-			Flow: qp.flow.ID, MSN: qp.unaMSN, Aux: int64(qp.backoff)})
-		env.Trace.Emit(obs.Event{At: now, Type: obs.EvEpochFallback, Node: qp.flow.Src, Port: -1,
-			Flow: qp.flow.ID, PSN: m.basePSN, MSN: qp.unaMSN, Aux: int64(m.retryNo)})
+	qp.Rec.Timeouts++
+	if env.Trace != nil {
+		now := qp.Now()
+		env.Trace.Emit(obs.Event{At: now, Type: obs.EvTimeout, Node: qp.Flow.Src, Port: -1,
+			Flow: qp.Flow.ID, MSN: qp.unaMSN, Aux: int64(qp.backoff)})
+		env.Trace.Emit(obs.Event{At: now, Type: obs.EvEpochFallback, Node: qp.Flow.Src, Port: -1,
+			Flow: qp.Flow.ID, PSN: m.basePSN, MSN: qp.unaMSN, Aux: int64(m.retryNo)})
 	}
 	// Conservative restart: consider the window empty.
 	qp.inflight = 0
@@ -445,8 +334,8 @@ func (qp *senderQP) onTimeout() {
 	if qp.backoff < 5 {
 		qp.backoff++
 	}
-	qp.timer.Reset(qp.h.Env.DCP.Timeout << qp.backoff)
-	qp.h.NIC.Kick()
+	qp.timer.Reset(env.DCP.Timeout << qp.backoff)
+	qp.Kick()
 }
 
 // ---------- receiver ----------
@@ -461,48 +350,36 @@ type recvMsg struct {
 }
 
 type recvQP struct {
-	sender  packet.NodeID
-	eMSN    uint32
-	msgs    map[uint32]*recvMsg
-	rxBytes int64
-
+	ep       *base.Endpoint
+	eMSN     uint32
+	msgs     map[uint32]*recvMsg
+	rxBytes  int64
 	sinceAck int
-	lastCNP  units.Time
-	cnpSet   bool
 }
 
 // ackEvery is the ACK coalescing factor: one ACK per this many data
 // packets, plus an immediate ACK whenever eMSN advances.
 const ackEvery = 4
 
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{sender: p.Src, msgs: make(map[uint32]*recvMsg)}
-		h.recv[p.FlowID] = qp
-	}
-	now := h.Eng.Now()
-
-	if p.ECN {
-		h.maybeCNP(qp, p, now)
-	}
-
+// Receive places a data packet by its per-message counter (§4.4).
+func (qp *recvQP) Receive(p *packet.Packet) {
+	ep := qp.ep
 	if base.SeqLess(p.MSN, qp.eMSN) {
 		// Duplicate of a completed message (late timeout retransmission):
 		// refresh the sender with the current state.
-		h.sendAck(qp, p, now)
+		qp.sendAck(p)
 		return
 	}
 	m := qp.msgs[p.MSN]
 	if m == nil {
 		m = &recvMsg{total: p.MsgLen}
 		var bitmapBytes int64
-		if h.Env.DCP.ReceiverBitmap {
+		if ep.Env.DCP.ReceiverBitmap {
 			m.bitmap = make([]uint64, (p.MsgLen+63)/64)
 			bitmapBytes = int64(len(m.bitmap)) * 8
 		}
 		qp.msgs[p.MSN] = m
-		if rec := h.Env.Collector.Flow(p.FlowID); rec != nil {
+		if rec := ep.Env.Collector.Flow(p.FlowID); rec != nil {
 			rec.NoteRecvState(recvFixedState + int64(len(qp.msgs))*(recvMsgState+bitmapBytes))
 		}
 	}
@@ -525,7 +402,7 @@ func (h *Host) recvData(p *packet.Packet) {
 		return
 	}
 
-	if h.Env.DCP.ReceiverBitmap {
+	if ep.Env.DCP.ReceiverBitmap {
 		w, b := p.MsgOffset/64, p.MsgOffset%64
 		if m.bitmap[w]&(1<<b) != 0 {
 			return // duplicate within epoch (only possible in ablations)
@@ -535,21 +412,12 @@ func (h *Host) recvData(p *packet.Packet) {
 	m.counter++
 	qp.rxBytes += int64(p.PayloadBytes)
 	qp.sinceAck++
-	if h.Env.Trace != nil {
-		// Aux packs the accepting epoch and the per-message counter after
-		// this placement — the flight recorder's exactly-once evidence.
-		h.Env.Trace.Emit(obs.Event{At: now, Type: obs.EvPlace, Node: h.NIC.ID(), Port: -1,
-			Flow: p.FlowID, PSN: p.PSN, MSN: p.MSN, Size: int32(p.PayloadBytes),
-			Aux: int64(m.retryNo)<<32 | int64(m.counter)})
-	}
+	ep.Place(p, m.retryNo, m.counter)
 
 	advanced := false
 	if m.counter >= m.total {
 		m.complete = true
-		if h.Env.Trace != nil {
-			h.Env.Trace.Emit(obs.Event{At: now, Type: obs.EvMsgComplete, Node: h.NIC.ID(), Port: -1,
-				Flow: p.FlowID, PSN: p.PSN, MSN: p.MSN, Aux: int64(m.total)})
-		}
+		ep.MsgComplete(p, m.total)
 		// Advance eMSN over consecutively completed messages, releasing
 		// their tracking state (the CQE generation point).
 		for {
@@ -562,56 +430,39 @@ func (h *Host) recvData(p *packet.Packet) {
 			advanced = true
 		}
 	}
-	if advanced && h.Env.Trace != nil {
-		h.Env.Trace.Emit(obs.Event{At: now, Type: obs.EvEMSNAdv, Node: h.NIC.ID(), Port: -1,
+	if advanced && ep.Env.Trace != nil {
+		ep.Env.Trace.Emit(obs.Event{At: ep.Eng.Now(), Type: obs.EvEMSNAdv, Node: ep.NIC.ID(), Port: -1,
 			Flow: p.FlowID, MSN: qp.eMSN, Aux: int64(qp.eMSN)})
 	}
 	if advanced || qp.sinceAck >= ackEvery {
-		h.sendAck(qp, p, now)
+		qp.sendAck(p)
 	}
 }
 
-func (h *Host) sendAck(qp *recvQP, data *packet.Packet, now units.Time) {
+func (qp *recvQP) sendAck(data *packet.Packet) {
 	qp.sinceAck = 0
-	ack := packet.AckPacket(data.FlowID, data.Dst, data.Src, 0)
+	ack := qp.ep.Ack(data, 0)
 	ack.EMSN = qp.eMSN
 	ack.AckBytes = qp.rxBytes
-	ack.SentAt = data.SentAt // echo the data timestamp for RTT estimation
-	h.QueueCtrl(ack)
-}
-
-// maybeCNP sends a DCQCN congestion notification, rate-limited per QP.
-func (h *Host) maybeCNP(qp *recvQP, data *packet.Packet, now units.Time) {
-	if qp.cnpSet && now-qp.lastCNP < h.Env.CNPInterval {
-		return
-	}
-	qp.cnpSet = true
-	qp.lastCNP = now
-	cnp := &packet.Packet{
-		Kind:   packet.KindCNP,
-		Tag:    packet.TagAck,
-		FlowID: data.FlowID,
-		Src:    data.Dst,
-		Dst:    data.Src,
-		Size:   packet.CNPSize,
-	}
-	h.QueueCtrl(cnp)
+	qp.ep.QueueCtrl(ack)
 }
 
 // RecvState exposes receiver-side tracking for tests: returns the expected
-// MSN and number of tracked (outstanding) messages for a flow.
-func (h *Host) RecvState(flowID uint64) (eMSN uint32, tracked int, ok bool) {
-	qp := h.recv[flowID]
-	if qp == nil {
+// MSN and number of tracked (outstanding) messages for a flow received by
+// the DCP endpoint t.
+func RecvState(t base.Transport, flowID uint64) (eMSN uint32, tracked int, ok bool) {
+	qp, ok := t.(*base.Endpoint).Receiver(flowID).(*recvQP)
+	if !ok {
 		return 0, 0, false
 	}
 	return qp.eMSN, len(qp.msgs), true
 }
 
-// SenderState exposes sender-side state for tests.
-func (h *Host) SenderState(flowID uint64) (unaMSN uint32, retransQLen int, ok bool) {
-	qp := h.send[flowID]
-	if qp == nil {
+// SenderState exposes sender-side state for tests: the oldest
+// unacknowledged message and RetransQ depth of a flow sent by t.
+func SenderState(t base.Transport, flowID uint64) (unaMSN uint32, retransQLen int, ok bool) {
+	qp, ok := t.(*base.Endpoint).Sender(flowID).(*senderQP)
+	if !ok {
 		return 0, 0, false
 	}
 	return qp.unaMSN, qp.rq.Len(), true

@@ -15,24 +15,10 @@ import (
 	"dcpsim/internal/workload"
 )
 
-// onePath builds host—switch—switch—host with one cross link.
-func onePath(sch exp.Scheme, mutate func(*fabric.SwitchConfig)) func(*sim.Engine) *topo.Network {
-	return func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		if mutate != nil {
-			mutate(&cfg.Switch)
-		}
-		return topo.Dumbbell(eng, cfg)
-	}
-}
-
 func runOne(t *testing.T, sch exp.Scheme, size int64, mutate func(*fabric.SwitchConfig), tweak func(*base.Env)) (*exp.Sim, *stats.FlowRecord) {
 	t.Helper()
 	sch.Tweak = tweak
-	s := exp.NewSim(7, sch, onePath(sch, mutate))
+	s := exp.NewSim(7, sch, exp.PairNet(sch, 1, mutate))
 	f := &workload.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	s.ScheduleFlows([]*workload.Flow{f})
 	if left := s.Run(20 * units.Second); left != 0 {
@@ -77,14 +63,13 @@ func TestExactlyOnceAccounting(t *testing.T) {
 	// The receiver must see every message exactly complete: eMSN reaches
 	// the message count and no tracking state is left behind.
 	sch := exp.SchemeDCP(false)
-	s := exp.NewSim(7, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }))
+	s := exp.NewSim(7, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }))
 	size := int64(12 << 20)
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 	if left := s.Run(10 * units.Second); left != 0 {
 		t.Fatal("unfinished")
 	}
-	recvHost := s.Net.Transports[1].(*dcp.Host)
-	eMSN, tracked, ok := recvHost.RecvState(1)
+	eMSN, tracked, ok := dcp.RecvState(s.Net.Transports[1], 1)
 	if !ok {
 		t.Fatal("no receiver state")
 	}
@@ -95,8 +80,7 @@ func TestExactlyOnceAccounting(t *testing.T) {
 	if tracked != 0 {
 		t.Fatalf("%d message trackers leaked", tracked)
 	}
-	sendHost := s.Net.Transports[0].(*dcp.Host)
-	una, rq, _ := sendHost.SenderState(1)
+	una, rq, _ := dcp.SenderState(s.Net.Transports[0], 1)
 	if una != uint32(msgs) || rq != 0 {
 		t.Fatalf("sender state: una=%d rq=%d", una, rq)
 	}
@@ -129,13 +113,7 @@ func TestOrderTolerantReceptionUnderSpray(t *testing.T) {
 	// nor time out (R2).
 	sch := exp.SchemeDCP(false)
 	sch.LB = fabric.LBSpray
-	s := exp.NewSim(7, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 8 // eight parallel paths
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(7, sch, exp.PairNet(sch, 8, nil)) // eight parallel paths
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 20 << 20}})
 	if left := s.Run(5 * units.Second); left != 0 {
 		t.Fatal("unfinished")
@@ -194,7 +172,7 @@ func TestSmallMessages(t *testing.T) {
 	// Single-packet and sub-MTU flows.
 	for _, size := range []int64{1, 64, 999, 1000, 1001} {
 		sch := exp.SchemeDCP(false)
-		s := exp.NewSim(7, sch, onePath(sch, nil))
+		s := exp.NewSim(7, sch, exp.PairNet(sch, 1, nil))
 		s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 		if left := s.Run(units.Second); left != 0 {
 			t.Fatalf("size %d unfinished", size)
@@ -205,7 +183,7 @@ func TestSmallMessages(t *testing.T) {
 func TestManyConcurrentFlows(t *testing.T) {
 	// Both directions, several QPs per host, all complete.
 	sch := exp.SchemeDCP(false)
-	s := exp.NewSim(7, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = 0.005 }))
+	s := exp.NewSim(7, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = 0.005 }))
 	var flows []*workload.Flow
 	for i := uint64(0); i < 10; i++ {
 		src, dst := 0, 1
@@ -235,7 +213,7 @@ func TestManyConcurrentFlows(t *testing.T) {
 func TestExactlyOncePropertyAcrossSeeds(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		sch := exp.SchemeDCP(false)
-		s := exp.NewSim(seed, sch, onePath(sch, func(c *fabric.SwitchConfig) {
+		s := exp.NewSim(seed, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) {
 			c.LossRate = 0.01 + float64(seed)*0.004
 		}))
 		size := int64(3 << 20)
@@ -247,8 +225,7 @@ func TestExactlyOncePropertyAcrossSeeds(t *testing.T) {
 		if rec.RetransPkts > rec.HOTriggers+rec.Timeouts*4096 {
 			t.Fatalf("seed %d: unsolicited retransmissions", seed)
 		}
-		recvHost := s.Net.Transports[1].(*dcp.Host)
-		if _, tracked, _ := recvHost.RecvState(1); tracked != 0 {
+		if _, tracked, _ := dcp.RecvState(s.Net.Transports[1], 1); tracked != 0 {
 			t.Fatalf("seed %d: %d trackers leaked", seed, tracked)
 		}
 	}
@@ -291,7 +268,7 @@ func TestDCQCNIntegration(t *testing.T) {
 // has never seen data from (the bounce must not require receiver QP state).
 func TestBounceStateless(t *testing.T) {
 	sch := exp.SchemeDCP(false)
-	s := exp.NewSim(7, sch, onePath(sch, func(c *fabric.SwitchConfig) {
+	s := exp.NewSim(7, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) {
 		c.TrimThreshold = 1 // trim everything beyond the wire
 	}))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 64 << 10}})

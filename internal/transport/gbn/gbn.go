@@ -7,268 +7,52 @@
 package gbn
 
 import (
-	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
-	"dcpsim/internal/obs"
 	"dcpsim/internal/packet"
-	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
-	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
-// Host is a GBN endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
-// New builds a GBN endpoint.
+// New builds a GBN endpoint. Its traffic is traditional RoCE: dropped,
+// not trimmed, by a congested switch.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "gbn", CNP: true,
+		NewSender: func(q *base.SendQP) base.Sender { return base.NewGoBack(q, q.Env().RTOHigh) },
+		NewReceiver: func(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+			return &receiver{ep: ep, total: first.MsgLen}
+		},
+	})
 }
 
-// Name implements base.Transport.
-func (h *Host) Name() string { return "gbn" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	if h.Env.Trace != nil {
-		h.Env.Trace.Flow(h.Eng.Now(), obs.EvFlowStart, f.Src, f.ID, f.Size)
-	}
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
+type receiver struct {
+	ep      *base.Endpoint
+	ePSN    uint32
+	total   uint32
+	nakSent bool
 }
 
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
+// Receive accepts only the expected PSN. GBN has no reorder buffer: an
+// out-of-order arrival is dropped and NAKed once per gap (RoCE
+// NAK-sequence-error semantics); a duplicate from a rewind refreshes the
+// sender.
+func (r *receiver) Receive(p *packet.Packet) {
+	flavor := packet.AckCumulative
+	switch {
+	case p.PSN == r.ePSN:
+		r.ePSN++
+		r.nakSent = false
+		r.ep.Place(p, 0, r.ePSN)
+		if r.ePSN == r.total {
+			r.ep.MsgComplete(p, r.total)
 		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
-
-	totalPkts uint32
-	lastPay   int // payload of the final packet
-
-	una     uint32 // cumulative acknowledged PSN
-	nextPSN uint32
-
-	firstTx  uint32 // highest PSN ever transmitted (for retrans accounting)
-	timer    *sim.Timer
-	done     bool
-	inflight int
-}
-
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.timer.Reset(env.RTOHigh)
-	return qp
-}
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
-// Next implements base.QP.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done || base.SeqGEQ(qp.nextPSN, qp.totalPkts) {
-		return nil, 0
-	}
-	size := qp.payloadAt(qp.nextPSN)
-	ok, at := qp.ctl.CanSend(now, qp.inflight, size)
-	if !ok {
-		return nil, at
-	}
-	psn := qp.nextPSN
-	qp.nextPSN++
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP // traditional RoCE traffic: dropped, not trimmed
-	p.SentAt = now
-	if base.SeqLess(psn, qp.firstTx) {
-		p.Retransmitted = true
-		qp.rec.RetransPkts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: now, Type: obs.EvRetransmit, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-		}
-	} else {
-		qp.firstTx = psn + 1
-		qp.rec.DataPkts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: now, Type: obs.EvSend, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-		}
-	}
-	qp.inflight += size
-	qp.ctl.OnSent(now, p.Size)
-	return p, 0
-}
-
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
-	if base.SeqLess(qp.una, p.EPSN) {
-		var acked int
-		for psn := qp.una; base.SeqLess(psn, p.EPSN); psn++ {
-			acked += qp.payloadAt(psn)
-		}
-		qp.una = p.EPSN
-		if base.SeqLess(qp.nextPSN, qp.una) {
-			qp.nextPSN = qp.una // a rewind raced this cumulative ACK
-		}
-		qp.inflight -= acked
-		if qp.inflight < 0 {
-			qp.inflight = 0
-		}
-		var rtt units.Time
-		if p.SentAt > 0 {
-			rtt = now - p.SentAt
-		}
-		qp.ctl.OnAck(now, acked, rtt)
-		qp.timer.Reset(qp.h.Env.RTOHigh)
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.done = true
-			qp.timer.Stop()
-			qp.ctl.Close()
-			if env := qp.h.Env; env.Trace != nil {
-				env.Trace.Flow(now, obs.EvFlowDone, qp.flow.Src, qp.flow.ID, qp.flow.Size)
-			}
-			qp.h.Env.Collector.Done(qp.flow.ID, now)
+	case base.SeqLess(r.ePSN, p.PSN):
+		if r.nakSent {
 			return
 		}
+		r.nakSent = true
+		flavor = packet.AckNak
 	}
-	if p.Ack == packet.AckNak {
-		// Go-Back-N: rewind to the expected PSN.
-		if base.SeqLess(p.EPSN, qp.nextPSN) {
-			qp.rewind(p.EPSN)
-		}
-	}
-	qp.h.NIC.Kick()
-}
-
-func (qp *senderQP) rewind(to uint32) {
-	qp.nextPSN = to
-	// Everything beyond the rewind point is no longer considered in
-	// flight; it will be resent.
-	var fly int
-	for psn := qp.una; base.SeqLess(psn, to); psn++ {
-		fly += qp.payloadAt(psn)
-	}
-	qp.inflight = fly
-}
-
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
-	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: qp.h.Eng.Now(), Type: obs.EvTimeout, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: qp.una})
-		}
-		qp.rewind(qp.una)
-		qp.inflight = 0
-		qp.h.NIC.Kick()
-	}
-	qp.timer.Reset(qp.h.Env.RTOHigh)
-}
-
-type recvQP struct {
-	ePSN    uint32
-	nakSent bool
-	lastCNP units.Time
-	cnpSet  bool
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{}
-		h.recv[p.FlowID] = qp
-	}
-	now := h.Eng.Now()
-	if p.ECN {
-		h.maybeCNP(qp, p, now)
-	}
-	switch {
-	case p.PSN == qp.ePSN:
-		qp.ePSN++
-		qp.nakSent = false
-		h.ack(p, qp.ePSN, packet.AckCumulative)
-	case base.SeqLess(qp.ePSN, p.PSN):
-		// Out of order: GBN has no reorder buffer; drop and NAK once per
-		// gap (RoCE NAK-sequence-error semantics).
-		if !qp.nakSent {
-			qp.nakSent = true
-			h.ack(p, qp.ePSN, packet.AckNak)
-		}
-	default:
-		// Duplicate from a rewind: refresh the sender.
-		h.ack(p, qp.ePSN, packet.AckCumulative)
-	}
-}
-
-func (h *Host) ack(data *packet.Packet, epsn uint32, flavor packet.AckFlavor) {
-	a := packet.AckPacket(data.FlowID, data.Dst, data.Src, epsn)
-	a.Tag = packet.TagNonDCP
+	a := r.ep.Ack(p, r.ePSN)
 	a.Ack = flavor
-	a.SentAt = data.SentAt
-	h.QueueCtrl(a)
-}
-
-func (h *Host) maybeCNP(qp *recvQP, data *packet.Packet, now units.Time) {
-	if qp.cnpSet && now-qp.lastCNP < h.Env.CNPInterval {
-		return
-	}
-	qp.cnpSet = true
-	qp.lastCNP = now
-	h.QueueCtrl(&packet.Packet{
-		Kind: packet.KindCNP, Tag: packet.TagNonDCP, FlowID: data.FlowID,
-		Src: data.Dst, Dst: data.Src, Size: packet.CNPSize,
-	})
+	r.ep.QueueCtrl(a)
 }

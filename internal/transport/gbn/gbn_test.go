@@ -13,22 +13,9 @@ import (
 	"dcpsim/internal/workload"
 )
 
-func onePath(sch exp.Scheme, mutate func(*fabric.SwitchConfig)) func(*sim.Engine) *topo.Network {
-	return func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		if mutate != nil {
-			mutate(&cfg.Switch)
-		}
-		return topo.Dumbbell(eng, cfg)
-	}
-}
-
 func TestCleanTransfer(t *testing.T) {
 	sch := exp.SchemeGBNLossy(fabric.LBECMP)
-	s := exp.NewSim(3, sch, onePath(sch, nil))
+	s := exp.NewSim(3, sch, exp.PairNet(sch, 1, nil))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 20 << 20}})
 	if s.Run(units.Second) != 0 {
 		t.Fatal("unfinished")
@@ -44,7 +31,7 @@ func TestCleanTransfer(t *testing.T) {
 
 func TestGoBackNUnderLoss(t *testing.T) {
 	sch := exp.SchemeGBNLossy(fabric.LBECMP)
-	s := exp.NewSim(3, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }))
+	s := exp.NewSim(3, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 20 << 20}})
 	if s.Run(30*units.Second) != 0 {
 		t.Fatal("unfinished")
@@ -65,7 +52,7 @@ func TestGoodputCollapsesAtHighLoss(t *testing.T) {
 	// The Fig. 10 claim: CX5 goodput collapses as loss grows.
 	run := func(loss float64) float64 {
 		sch := exp.SchemeGBNLossy(fabric.LBECMP)
-		s := exp.NewSim(3, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = loss }))
+		s := exp.NewSim(3, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = loss }))
 		s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 8 << 20}})
 		if s.Run(60*units.Second) != 0 {
 			t.Fatal("unfinished")
@@ -111,7 +98,7 @@ func TestLosslessPFCNoRetrans(t *testing.T) {
 
 func TestBidirectional(t *testing.T) {
 	sch := exp.SchemeGBNLossy(fabric.LBECMP)
-	s := exp.NewSim(3, sch, onePath(sch, nil))
+	s := exp.NewSim(3, sch, exp.PairNet(sch, 1, nil))
 	s.ScheduleFlows([]*workload.Flow{
 		{ID: 1, Src: 0, Dst: 1, Size: 4 << 20},
 		{ID: 2, Src: 1, Dst: 0, Size: 4 << 20},

@@ -8,20 +8,10 @@
 package irn
 
 import (
-	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
-	"dcpsim/internal/obs"
 	"dcpsim/internal/packet"
-	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
-	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
-
-// rtoLowThreshold is IRN's N: with fewer than N packets outstanding the
-// short timeout applies (there may be no later packet to trigger a SACK).
-const rtoLowThreshold = 3
 
 // Fixed per-QP tracking state beyond the full-message bitmaps, for the
 // bitmap-vs-counter memory accounting (§4.5).
@@ -30,378 +20,55 @@ const (
 	recvFixedState   = 24
 )
 
-// Host is an IRN endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
 // New builds an IRN endpoint.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "irn" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	if h.Env.Trace != nil {
-		h.Env.Trace.Flow(h.Eng.Now(), obs.EvFlowStart, f.Src, f.ID, f.Size)
-	}
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-// bitset is a fixed-size bitmap, the per-QP tracking structure whose
-// memory/processing trade-offs §4.5 discusses.
-type bitset struct {
-	words []uint64
-	count int
-}
-
-func newBitset(n uint32) *bitset { return &bitset{words: make([]uint64, (n+63)/64)} }
-
-func (b *bitset) set(i uint32) bool {
-	w, m := i/64, uint64(1)<<(i%64)
-	if b.words[w]&m != 0 {
-		return false
-	}
-	b.words[w] |= m
-	b.count++
-	return true
-}
-
-func (b *bitset) get(i uint32) bool {
-	return b.words[i/64]&(uint64(1)<<(i%64)) != 0
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
-
-	totalPkts uint32
-	lastPay   int
-
-	una      uint32
-	nextPSN  uint32
-	sacked   *bitset
-	highSack uint32 // highest SACKed PSN + 1 (0 = none)
-
-	// Loss recovery episode state (§2.2 issue #2): entered once, left only
-	// when una passes recoverPSN; each packet retransmitted at most once
-	// per episode.
-	inRecovery    bool
-	timeoutMode   bool // entered via RTO: all unSACKed count as lost
-	recoverPSN    uint32
-	retransmitted *bitset
-	scan          uint32 // retransmission scan cursor
-
-	timer     *sim.Timer
-	sackedOut int // SACKed PSNs at or above una (outstanding window credit)
-	done      bool
-}
-
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.sacked = newBitset(qp.totalPkts)
-	qp.rec.NoteSendState(senderFixedState + 2*int64(len(qp.sacked.words))*8)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.resetTimer()
-	return qp
-}
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// inflightBytes approximates IRN's BDP flow control: the span of
-// outstanding (sent, neither cumulatively nor selectively acknowledged)
-// packets. Retransmissions do not widen it, so spurious retransmissions
-// cannot starve the window.
-func (qp *senderQP) inflightBytes() int {
-	n := int(base.SeqDiff(qp.nextPSN, qp.una)) - qp.sackedOut
-	if n < 0 {
-		n = 0
-	}
-	return n * qp.h.Env.MTU
-}
-
-func (qp *senderQP) resetTimer() {
-	if base.SeqDiff(qp.nextPSN, qp.una) < rtoLowThreshold {
-		qp.timer.Reset(qp.h.Env.RTOLow)
-	} else {
-		qp.timer.Reset(qp.h.Env.RTOHigh)
-	}
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
-// Next implements base.QP: retransmissions (while in a recovery episode)
-// take priority over new data; both share the BDP window.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done {
-		return nil, 0
-	}
-	if qp.inRecovery {
-		if psn, ok := qp.nextLost(); ok {
-			size := qp.payloadAt(psn)
-			// BDP-FC caps the un-acked span; a retransmission stays inside
-			// that span, so only rate pacing applies (inflight 0). Charging
-			// the window here deadlocks after a whole-window loss (link
-			// flap): no ACK ever arrives to reopen it.
-			ok2, at := qp.ctl.CanSend(now, 0, size)
-			if !ok2 {
-				return nil, at
-			}
-			qp.retransmitted.set(psn)
-			qp.scan = psn + 1
-			qp.rec.RetransPkts++
-			if env := qp.h.Env; env.Trace != nil {
-				env.Trace.Emit(obs.Event{At: now, Type: obs.EvRetransmit, Node: qp.flow.Src, Port: -1,
-					Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-			}
-			qp.ctl.OnSent(now, size+packet.DataHeaderSize)
-			return qp.emit(now, psn, size, true), 0
-		}
-	}
-	if base.SeqLess(qp.nextPSN, qp.totalPkts) {
-		size := qp.payloadAt(qp.nextPSN)
-		ok, at := qp.ctl.CanSend(now, qp.inflightBytes(), size)
-		if !ok {
-			return nil, at
-		}
-		psn := qp.nextPSN
-		qp.nextPSN++
-		qp.rec.DataPkts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: now, Type: obs.EvSend, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-		}
-		qp.ctl.OnSent(now, size+packet.DataHeaderSize)
-		return qp.emit(now, psn, size, false), 0
-	}
-	return nil, 0
-}
-
-func (qp *senderQP) emit(now units.Time, psn uint32, size int, retrans bool) *packet.Packet {
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	p.Retransmitted = retrans
-	return p
-}
-
-// nextLost scans for the next retransmission candidate: unSACKed, not yet
-// retransmitted this episode, and (unless the episode began with a timeout)
-// below some SACKed PSN.
-func (qp *senderQP) nextLost() (uint32, bool) {
-	limit := qp.highSack
-	if qp.timeoutMode {
-		limit = qp.nextPSN
-	}
-	for psn := max32(qp.scan, qp.una); base.SeqLess(psn, limit) && base.SeqLess(psn, qp.nextPSN); psn++ {
-		if !qp.sacked.get(psn) && !qp.retransmitted.get(psn) {
-			return psn, true
-		}
-	}
-	return 0, false
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
-	progressed := false
-	if base.SeqLess(qp.una, p.EPSN) {
-		var acked int
-		for psn := qp.una; base.SeqLess(psn, p.EPSN); psn++ {
-			if qp.sacked.get(psn) {
-				qp.sackedOut-- // SACKed packets already left the window
-			} else {
-				acked += qp.payloadAt(psn)
-			}
-		}
-		qp.una = p.EPSN
-		if qp.sackedOut < 0 {
-			qp.sackedOut = 0
-		}
-		var rtt units.Time
-		if p.SentAt > 0 {
-			rtt = now - p.SentAt
-		}
-		qp.ctl.OnAck(now, acked, rtt)
-		progressed = true
-	}
-	if p.Ack == packet.AckSelective && base.SeqLess(p.SackPSN, qp.totalPkts) {
-		if base.SeqGEQ(p.SackPSN, qp.una) && qp.sacked.set(p.SackPSN) {
-			qp.sackedOut++
-			qp.ctl.OnAck(now, qp.payloadAt(p.SackPSN), 0)
-		}
-		if base.SeqLess(qp.highSack, p.SackPSN+1) {
-			qp.highSack = p.SackPSN + 1
-		}
-		// A SACK implies out-of-order delivery: enter loss recovery (this
-		// is precisely where reordering causes spurious retransmissions).
-		if !qp.inRecovery {
-			qp.enterRecovery(false)
-		}
-	}
-	if progressed {
-		qp.resetTimer()
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.complete(now)
-			return
-		}
-		if qp.inRecovery && base.SeqLess(qp.recoverPSN, qp.una) {
-			qp.inRecovery = false
-			qp.timeoutMode = false
-		}
-	}
-	qp.h.NIC.Kick()
-}
-
-func (qp *senderQP) enterRecovery(timeout bool) {
-	qp.inRecovery = true
-	qp.timeoutMode = timeout
-	if qp.nextPSN > 0 {
-		qp.recoverPSN = qp.nextPSN - 1
-	}
-	qp.retransmitted = newBitset(qp.totalPkts)
-	qp.scan = qp.una
-}
-
-func (qp *senderQP) complete(now units.Time) {
-	qp.done = true
-	qp.timer.Stop()
-	qp.ctl.Close()
-	if env := qp.h.Env; env.Trace != nil {
-		env.Trace.Flow(now, obs.EvFlowDone, qp.flow.Src, qp.flow.ID, qp.flow.Size)
-	}
-	qp.h.Env.Collector.Done(qp.flow.ID, now)
-}
-
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
-	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: qp.h.Eng.Now(), Type: obs.EvTimeout, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: qp.una})
-		}
-		qp.enterRecovery(true)
-		qp.h.NIC.Kick()
-	}
-	qp.resetTimer()
-}
-
-type recvQP struct {
-	ePSN     uint32
-	received *bitset
-	lastCNP  units.Time
-	cnpSet   bool
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{received: newBitset(p.MsgLen)}
-		h.recv[p.FlowID] = qp
-		if rec := h.Env.Collector.Flow(p.FlowID); rec != nil {
-			rec.NoteRecvState(recvFixedState + int64(len(qp.received.words))*8)
-		}
-	}
-	now := h.Eng.Now()
-	if p.ECN {
-		h.maybeCNP(qp, p, now)
-	}
-	if base.SeqLess(p.PSN, qp.ePSN) || !qp.received.set(p.PSN) {
-		// Duplicate (a spurious retransmission): cumulative ACK refreshes
-		// the sender.
-		h.ack(p, qp, packet.AckCumulative, 0)
-		return
-	}
-	if p.PSN == qp.ePSN {
-		for base.SeqLess(qp.ePSN, uint32(len(qp.received.words)*64)) && qp.received.get(qp.ePSN) {
-			qp.ePSN++
-		}
-		h.ack(p, qp, packet.AckCumulative, 0)
-		return
-	}
-	// Out-of-order arrival: SACK with both the cumulative ack and the OOO
-	// PSN (§2.2 issue #1).
-	h.ack(p, qp, packet.AckSelective, p.PSN)
-}
-
-func (h *Host) ack(data *packet.Packet, qp *recvQP, flavor packet.AckFlavor, sack uint32) {
-	a := packet.AckPacket(data.FlowID, data.Dst, data.Src, qp.ePSN)
-	a.Tag = packet.TagNonDCP
-	a.Ack = flavor
-	a.SackPSN = sack
-	a.SentAt = data.SentAt
-	h.QueueCtrl(a)
-}
-
-func (h *Host) maybeCNP(qp *recvQP, data *packet.Packet, now units.Time) {
-	if qp.cnpSet && now-qp.lastCNP < h.Env.CNPInterval {
-		return
-	}
-	qp.cnpSet = true
-	qp.lastCNP = now
-	h.QueueCtrl(&packet.Packet{
-		Kind: packet.KindCNP, Tag: packet.TagNonDCP, FlowID: data.FlowID,
-		Src: data.Dst, Dst: data.Src, Size: packet.CNPSize,
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "irn", CNP: true,
+		NewSender:   newSender,
+		NewReceiver: newReceiver,
 	})
+}
+
+// newSender is the shared selective-repeat sender over full-flow bitmaps:
+// the SACK scoreboard and, per recovery episode, the retransmit marks.
+func newSender(q *base.SendQP) base.Sender {
+	sacked := base.NewBitmap(q.Pkts)
+	q.Rec.NoteSendState(senderFixedState + 2*sacked.StateBytes())
+	marks := func(uint32) base.Scoreboard { return base.NewBitmap(q.Pkts) }
+	decode := func(p *packet.Packet, _ uint32, buf []base.Range) (uint32, []base.Range, bool) {
+		// A SACK carries both the cumulative ack and the out-of-order PSN
+		// (§2.2 issue #1).
+		if p.Ack == packet.AckSelective && base.SeqLess(p.SackPSN, q.Pkts) {
+			buf = append(buf, base.Range{Lo: p.SackPSN, Hi: p.SackPSN + 1})
+		}
+		return p.EPSN, buf, true
+	}
+	return base.NewSelective(q, sacked, 0, marks, decode)
+}
+
+type receiver struct {
+	ep *base.Endpoint
+	*base.Reorder
+}
+
+func newReceiver(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+	r := &receiver{ep, base.NewReorder(ep, first)}
+	if rec := ep.Env.Collector.Flow(first.FlowID); rec != nil {
+		rec.NoteRecvState(recvFixedState + r.StateBytes())
+	}
+	return r
+}
+
+// Receive acknowledges in-order arrivals and duplicates (a spurious
+// retransmission refreshes the sender) cumulatively, and SACKs
+// out-of-order arrivals with both the cumulative point and their PSN.
+func (r *receiver) Receive(p *packet.Packet) {
+	inOrder := p.PSN == r.EPSN
+	fresh := r.Accept(p)
+	a := r.ep.Ack(p, r.EPSN)
+	if fresh && !inOrder {
+		a.Ack = packet.AckSelective
+		a.SackPSN = p.PSN
+	}
+	r.ep.QueueCtrl(a)
 }

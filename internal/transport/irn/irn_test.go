@@ -12,22 +12,9 @@ import (
 	"dcpsim/internal/workload"
 )
 
-func onePath(sch exp.Scheme, mutate func(*fabric.SwitchConfig), cross int) func(*sim.Engine) *topo.Network {
-	return func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = cross
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		if mutate != nil {
-			mutate(&cfg.Switch)
-		}
-		return topo.Dumbbell(eng, cfg)
-	}
-}
-
 func runFlow(t *testing.T, sch exp.Scheme, size int64, mutate func(*fabric.SwitchConfig), cross int) (*exp.Sim, *stats.FlowRecord) {
 	t.Helper()
-	s := exp.NewSim(5, sch, onePath(sch, mutate, cross))
+	s := exp.NewSim(5, sch, exp.PairNet(sch, cross, mutate))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 	if left := s.Run(60 * units.Second); left != 0 {
 		t.Fatalf("unfinished at %v", s.Eng.Now())
@@ -98,7 +85,7 @@ func TestTailLossNeedsTimeout(t *testing.T) {
 	// across seeds; assert that *some* run needs a timeout.
 	sawTimeout := false
 	for seed := int64(0); seed < 10 && !sawTimeout; seed++ {
-		s := exp.NewSim(seed, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = 0.3 }, 1))
+		s := exp.NewSim(seed, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = 0.3 }))
 		s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 3000}})
 		if s.Run(60*units.Second) != 0 {
 			t.Fatal("unfinished")
@@ -128,7 +115,7 @@ func TestRecoveryEpisodeSingleRetransmit(t *testing.T) {
 
 func TestBidirectionalWithLoss(t *testing.T) {
 	sch := exp.SchemeIRN(fabric.LBECMP, false)
-	s := exp.NewSim(5, sch, onePath(sch, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }, 1))
+	s := exp.NewSim(5, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = 0.01 }))
 	s.ScheduleFlows([]*workload.Flow{
 		{ID: 1, Src: 0, Dst: 1, Size: 4 << 20},
 		{ID: 2, Src: 1, Dst: 0, Size: 4 << 20},

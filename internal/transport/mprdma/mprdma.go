@@ -10,231 +10,137 @@ import (
 	"dcpsim/internal/nic"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
 	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
-
-// Host is an MP-RDMA endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
 
 // New builds an MP-RDMA endpoint.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "mprdma", OwnWindow: true,
+		NewSender: newSender,
+		NewReceiver: func(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+			return &receiver{ep: ep, Reorder: base.NewReorder(ep, first)}
+		},
+	})
 }
 
-// Name implements base.Transport.
-func (h *Host) Name() string { return "mprdma" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-
-	totalPkts uint32
-	lastPay   int
+type sender struct {
+	*base.SendQP
 
 	una      uint32
 	nextPSN  uint32
-	firstTx  uint32
-	inflight int // packets in flight (ACK-clocked)
+	sentHigh uint32 // one past the highest PSN ever sent: below it is a resend
+	inflight int    // packets in flight (ACK-clocked)
 
 	// cwnd is MP-RDMA's adaptive congestion window in packets: +1/cwnd
 	// per unmarked ACK, -1/2 per ECN-marked ACK.
 	cwnd float64
 
 	pathRR uint32
-
-	timer *sim.Timer
-	done  bool
+	timer  *sim.Timer
 }
 
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
+func newSender(q *base.SendQP) base.Sender {
+	env := q.Env()
+	s := &sender{SendQP: q}
+	s.cwnd = float64(units.BDP(q.Endpoint().NIC.Rate(), env.BaseRTT)) / float64(env.MTU)
+	if s.cwnd < 2 {
+		s.cwnd = 2
 	}
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	bdpPkts := float64(units.BDP(h.NIC.Rate(), env.BaseRTT)) / float64(env.MTU)
-	qp.cwnd = bdpPkts
-	if qp.cwnd < 2 {
-		qp.cwnd = 2
-	}
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.timer.Reset(env.RTOHigh)
-	return qp
+	s.timer = q.NewTimer(s.onTimeout)
+	s.timer.Reset(env.RTOHigh)
+	return s
 }
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
 
 // Next implements base.QP.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done || base.SeqGEQ(qp.nextPSN, qp.totalPkts) {
-		return nil, 0
+func (s *sender) Next(now units.Time) (*packet.Packet, units.Time) {
+	if base.SeqGEQ(s.nextPSN, s.Pkts) || float64(s.inflight) >= s.cwnd {
+		return nil, 0 // done, or ACK-clocked
 	}
-	if float64(qp.inflight) >= qp.cwnd {
-		return nil, 0 // ACK-clocked
+	psn := s.nextPSN
+	s.nextPSN++
+	resend := base.SeqLess(psn, s.sentHigh)
+	if !resend {
+		s.sentHigh = psn + 1
 	}
-	psn := qp.nextPSN
-	qp.nextPSN++
-	size := qp.payloadAt(psn)
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
+	p := s.Data(now, psn, s.PayloadAt(psn), resend)
 	// Virtual path selection: round robin across paths, hashed by the
 	// fabric like distinct UDP source ports.
-	p.PathKey = qp.pathRR%uint32(qp.h.Env.MP.Paths) + 1
-	qp.pathRR++
-	if base.SeqLess(psn, qp.firstTx) {
-		p.Retransmitted = true
-		qp.rec.RetransPkts++
-	} else {
-		qp.firstTx = psn + 1
-		qp.rec.DataPkts++
-	}
-	qp.inflight++
+	p.PathKey = s.pathRR%uint32(s.Env().MP.Paths) + 1
+	s.pathRR++
+	s.inflight++
 	return p, 0
 }
 
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
+// OnAck implements base.Sender: every ACK clocks the window, with
+// ECN-echo driven adaptation.
+func (s *sender) OnAck(p *packet.Packet) {
+	if s.inflight > 0 {
+		s.inflight--
 	}
-	now := qp.h.Eng.Now()
-	if qp.inflight > 0 {
-		qp.inflight--
-	}
-	// ECN-echo driven window adaptation.
 	if p.ECN {
-		qp.cwnd -= 0.5
-		if qp.cwnd < 1 {
-			qp.cwnd = 1
+		s.cwnd -= 0.5
+		if s.cwnd < 1 {
+			s.cwnd = 1
 		}
 	} else {
-		qp.cwnd += 1 / qp.cwnd
+		s.cwnd += 1 / s.cwnd
 	}
-	if base.SeqLess(qp.una, p.EPSN) {
-		qp.una = p.EPSN
-		if base.SeqLess(qp.nextPSN, qp.una) {
-			qp.nextPSN = qp.una // a rewind raced this cumulative ACK
+	if base.SeqLess(s.una, p.EPSN) {
+		s.una = p.EPSN
+		if base.SeqLess(s.nextPSN, s.una) {
+			s.nextPSN = s.una // a rewind raced this cumulative ACK
 		}
-		qp.timer.Reset(qp.h.Env.RTOHigh)
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.done = true
-			qp.timer.Stop()
-			qp.h.Env.Collector.Done(qp.flow.ID, now)
+		s.timer.Reset(s.Env().RTOHigh)
+		if base.SeqGEQ(s.una, s.Pkts) {
+			s.Complete(s.Now())
 			return
 		}
 	}
-	if p.Ack == packet.AckNak && base.SeqLess(p.EPSN, qp.nextPSN) {
+	if p.Ack == packet.AckNak && base.SeqLess(p.EPSN, s.nextPSN) {
 		// OOO-window overflow at the receiver: Go-Back-N.
-		qp.nextPSN = p.EPSN
-		qp.inflight = 0
+		s.nextPSN = p.EPSN
+		s.inflight = 0
 	}
-	qp.h.NIC.Kick()
+	s.Kick()
 }
 
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
+func (s *sender) onTimeout() {
+	if base.SeqLess(s.una, s.nextPSN) {
+		s.TimedOut(s.una)
+		s.nextPSN = s.una
+		s.inflight = 0
+		s.Kick()
 	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		qp.nextPSN = qp.una
-		qp.inflight = 0
-		qp.h.NIC.Kick()
-	}
-	qp.timer.Reset(qp.h.Env.RTOHigh)
+	s.timer.Reset(s.Env().RTOHigh)
 }
 
-type recvQP struct {
-	ePSN     uint32
-	received []uint64
-	total    uint32
-	nakSent  bool
+type receiver struct {
+	ep *base.Endpoint
+	*base.Reorder
+	nakSent bool
 }
 
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{received: make([]uint64, (p.MsgLen+63)/64), total: p.MsgLen}
-		h.recv[p.FlowID] = qp
-	}
-	// Out-of-order window: the receiver bitmap only spans L packets beyond
-	// ePSN; packets further ahead are dropped and trigger Go-Back-N. The
-	// paper observes MP-RDMA fails to keep the OOO degree below this
-	// threshold under adaptive routing, causing its inferior performance.
-	if base.SeqGEQ(p.PSN, qp.ePSN+uint32(h.Env.MP.OOOWindow)) {
-		if !qp.nakSent {
-			qp.nakSent = true
-			h.ack(p, qp, packet.AckNak)
+// Receive enforces the out-of-order window: the receiver bitmap only
+// spans L packets beyond ePSN; packets further ahead are dropped and
+// trigger Go-Back-N. The paper observes MP-RDMA fails to keep the OOO
+// degree below this threshold under adaptive routing, causing its
+// inferior performance.
+func (r *receiver) Receive(p *packet.Packet) {
+	flavor := packet.AckCumulative
+	if base.SeqGEQ(p.PSN, r.EPSN+uint32(r.ep.Env.MP.OOOWindow)) {
+		if r.nakSent {
+			return
 		}
-		return
+		r.nakSent = true
+		flavor = packet.AckNak
+	} else if old := r.EPSN; r.Accept(p) && r.EPSN != old {
+		r.nakSent = false
 	}
-	if base.SeqGEQ(p.PSN, qp.ePSN) {
-		w, b := p.PSN/64, p.PSN%64
-		if qp.received[w]&(1<<b) == 0 {
-			qp.received[w] |= 1 << b
-			for base.SeqLess(qp.ePSN, qp.total) && qp.received[qp.ePSN/64]&(1<<(qp.ePSN%64)) != 0 {
-				qp.ePSN++
-				qp.nakSent = false
-			}
-		}
-	}
-	h.ack(p, qp, packet.AckCumulative)
-}
-
-func (h *Host) ack(data *packet.Packet, qp *recvQP, flavor packet.AckFlavor) {
-	a := packet.AckPacket(data.FlowID, data.Dst, data.Src, qp.ePSN)
-	a.Tag = packet.TagNonDCP
+	a := r.ep.Ack(p, r.EPSN)
 	a.Ack = flavor
-	a.ECN = data.ECN // ECN echo drives the sender's window
-	a.SentAt = data.SentAt
-	a.PathKey = data.PathKey // ACK returns on the data packet's path
-	h.QueueCtrl(a)
+	a.ECN = p.ECN         // ECN echo drives the sender's window
+	a.PathKey = p.PathKey // ACK returns on the data packet's path
+	r.ep.QueueCtrl(a)
 }

@@ -13,19 +13,9 @@ import (
 	"dcpsim/internal/workload"
 )
 
-func multiPath(sch exp.Scheme, cross int) func(*sim.Engine) *topo.Network {
-	return func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = cross
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		return topo.Dumbbell(eng, cfg)
-	}
-}
-
 func TestCompletesOverLosslessFabric(t *testing.T) {
 	sch := exp.SchemeMPRDMA()
-	s := exp.NewSim(9, sch, multiPath(sch, 4))
+	s := exp.NewSim(9, sch, exp.PairNet(sch, 4, nil))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 20 << 20}})
 	if s.Run(10*units.Second) != 0 {
 		t.Fatal("unfinished")
@@ -43,7 +33,7 @@ func TestUsesMultiplePaths(t *testing.T) {
 	// With per-packet virtual paths, ECMP hashing must spread one flow
 	// across several cross links.
 	sch := exp.SchemeMPRDMA()
-	s := exp.NewSim(9, sch, multiPath(sch, 4))
+	s := exp.NewSim(9, sch, exp.PairNet(sch, 4, nil))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 8 << 20}})
 	if s.Run(10*units.Second) != 0 {
 		t.Fatal("unfinished")

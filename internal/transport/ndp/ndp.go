@@ -16,79 +16,32 @@ import (
 	"dcpsim/internal/nic"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
 	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
-// Host is an NDP endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-
-	// The pull pacer is shared by every receiving QP on this NIC: NDP
-	// grants exactly one packet's worth of credit per MTU-time at the
-	// receiver's line rate, round-robin across flows that are owed pulls.
-	pullRR   []*recvQP
-	pacer    *sim.Timer
-	pacerOn  bool
-	lastPull units.Time
-}
-
-// New builds an NDP endpoint.
+// New builds an NDP endpoint: DCP-tagged so the fabric trims its data, and
+// every trimmed header that reaches the receiver is its loss signal.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	h := &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-	h.pacer = sim.NewTimer(n.Engine(), h.pullTick)
+	pl := &puller{}
+	ep := base.NewEndpoint(n, env, base.Scheme{
+		Name: "ndp", OwnWindow: true, DCPTags: true, HO: base.HOReceive,
+		NewSender: newSender,
+		NewReceiver: func(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+			return &receiver{pl: pl, sender: first.Src, flowID: first.FlowID, Reorder: base.NewReorder(ep, first)}
+		},
+	})
+	pl.ep = ep
+	pl.pacer = sim.NewTimer(n.Engine(), pl.tick)
 	// The pull pacer is the protocol's clock, not a retransmission timeout.
-	h.pacer.Comp = sim.CompTransport
-	return h
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "ndp" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p, false)
-	case packet.KindHO:
-		// A trimmed header reaching the receiver is NDP's loss signal.
-		h.recvData(p, true)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onCtrl(p)
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
+	pl.pacer.Comp = sim.CompTransport
+	return ep
 }
 
 // ---------- sender ----------
 
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-
-	totalPkts uint32
-	lastPay   int
+type sender struct {
+	*base.SendQP
 
 	nextPSN uint32 // next never-sent packet
 	window  uint32 // initial blind window (packets)
@@ -98,247 +51,193 @@ type senderQP struct {
 	retx     []uint32 // NACKed packets awaiting a pull
 	retxHead int
 
-	acked   *bitset
-	done    bool
+	acked   *base.Bitmap
 	rtoSafe *sim.Timer // last-resort safety timer (pull loss)
 }
 
-type bitset struct {
-	words []uint64
-	count int
-}
-
-func newBitset(n uint32) *bitset { return &bitset{words: make([]uint64, (n+63)/64)} }
-
-func (b *bitset) set(i uint32) bool {
-	w, m := i/64, uint64(1)<<(i%64)
-	if b.words[w]&m != 0 {
-		return false
+func newSender(q *base.SendQP) base.Sender {
+	env := q.Env()
+	s := &sender{SendQP: q, acked: base.NewBitmap(q.Pkts)}
+	s.window = uint32(units.BDP(q.Endpoint().NIC.Rate(), env.BaseRTT) / env.MTU)
+	if s.window < 2 {
+		s.window = 2
 	}
-	b.words[w] |= m
-	b.count++
-	return true
+	s.rtoSafe = q.NewTimer(s.onSafety)
+	s.rtoSafe.Reset(env.RTOHigh)
+	return s
 }
-
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.acked = newBitset(qp.totalPkts)
-	iw := uint32(units.BDP(h.NIC.Rate(), env.BaseRTT) / env.MTU)
-	if iw < 2 {
-		iw = 2
-	}
-	qp.window = iw
-	qp.rtoSafe = sim.NewTimer(h.Eng, qp.onSafety)
-	qp.rtoSafe.Reset(env.RTOHigh)
-	return qp
-}
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
 
 // Next implements base.QP: blind initial window first, then strictly
 // pull-clocked (retransmissions before new data).
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done {
-		return nil, 0
-	}
+func (s *sender) Next(now units.Time) (*packet.Packet, units.Time) {
 	// Initial window: fire-and-forget up to one BDP.
-	if qp.sent < qp.window && base.SeqLess(qp.nextPSN, qp.totalPkts) {
-		return qp.emitNew(now), 0
+	if s.sent < s.window && base.SeqLess(s.nextPSN, s.Pkts) {
+		return s.sendNew(now), 0
 	}
-	if qp.pulls == 0 {
+	if s.pulls == 0 {
 		return nil, 0
 	}
-	for qp.retxHead < len(qp.retx) {
-		psn := qp.retx[qp.retxHead]
-		if qp.acked.words[psn/64]&(1<<(psn%64)) != 0 {
-			qp.retxHead++
+	for s.retxHead < len(s.retx) {
+		psn := s.retx[s.retxHead]
+		s.retxHead++
+		if s.acked.Get(psn) {
 			continue
 		}
-		qp.retxHead++
-		qp.pulls--
-		qp.rec.RetransPkts++
-		p := qp.emit(now, psn, true)
-		return p, 0
+		s.pulls--
+		return s.Data(now, psn, s.PayloadAt(psn), true), 0
 	}
-	if qp.retxHead > 0 && qp.retxHead == len(qp.retx) {
-		qp.retx = qp.retx[:0]
-		qp.retxHead = 0
+	if s.retxHead > 0 && s.retxHead == len(s.retx) {
+		s.retx = s.retx[:0]
+		s.retxHead = 0
 	}
-	if base.SeqLess(qp.nextPSN, qp.totalPkts) {
-		qp.pulls--
-		return qp.emitNew(now), 0
+	if base.SeqLess(s.nextPSN, s.Pkts) {
+		s.pulls--
+		return s.sendNew(now), 0
 	}
 	return nil, 0
 }
 
-func (qp *senderQP) emitNew(now units.Time) *packet.Packet {
-	psn := qp.nextPSN
-	qp.nextPSN++
-	qp.sent++
-	qp.rec.DataPkts++
-	return qp.emit(now, psn, false)
+func (s *sender) sendNew(now units.Time) *packet.Packet {
+	psn := s.nextPSN
+	s.nextPSN++
+	s.sent++
+	return s.Data(now, psn, s.PayloadAt(psn), false)
 }
 
-func (qp *senderQP) emit(now units.Time, psn uint32, retrans bool) *packet.Packet {
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, qp.payloadAt(psn))
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	p.Retransmitted = retrans
-	return p
-}
-
-// onCtrl handles ACK / NACK / PULL control packets.
-func (qp *senderQP) onCtrl(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
+// OnAck implements base.Sender for NDP's ACK, NACK and PULL packets.
+func (s *sender) OnAck(p *packet.Packet) {
 	switch p.Ack {
 	case packet.AckPull:
-		qp.pulls++
+		s.pulls++
 	case packet.AckNak:
 		// A trimmed header was seen: queue the named packet for the next
 		// pull.
-		if base.SeqLess(p.SackPSN, qp.totalPkts) {
-			qp.retx = append(qp.retx, p.SackPSN)
+		if base.SeqLess(p.SackPSN, s.Pkts) {
+			s.retx = append(s.retx, p.SackPSN)
 		}
 	default:
-		if base.SeqLess(p.SackPSN, qp.totalPkts) {
-			qp.acked.set(p.SackPSN)
+		if base.SeqLess(p.SackPSN, s.Pkts) {
+			s.acked.Set(p.SackPSN)
 		}
 	}
-	qp.rtoSafe.Reset(qp.h.Env.RTOHigh)
-	if uint32(qp.acked.count) >= qp.totalPkts {
-		qp.done = true
-		qp.rtoSafe.Stop()
-		qp.h.Env.Collector.Done(qp.flow.ID, now)
+	s.rtoSafe.Reset(s.Env().RTOHigh)
+	if uint32(s.acked.Count()) >= s.Pkts {
+		s.Complete(s.Now())
 		return
 	}
-	qp.h.NIC.Kick()
+	s.Kick()
 }
 
 // onSafety covers total control-plane loss (pulls and NACKs all gone):
 // resend the lowest unacked packet to restart the pull clock.
-func (qp *senderQP) onSafety() {
-	if qp.done {
-		return
-	}
-	qp.rec.Timeouts++
-	for psn := uint32(0); base.SeqLess(psn, qp.nextPSN); psn++ {
-		if qp.acked.words[psn/64]&(1<<(psn%64)) == 0 {
-			qp.retx = append(qp.retx, psn)
-			qp.pulls++ // self-granted credit: the pull clock was lost
+func (s *sender) onSafety() {
+	s.Rec.Timeouts++
+	for psn := uint32(0); base.SeqLess(psn, s.nextPSN); psn++ {
+		if !s.acked.Get(psn) {
+			s.retx = append(s.retx, psn)
+			s.pulls++ // self-granted credit: the pull clock was lost
 			break
 		}
 	}
-	qp.rtoSafe.Reset(qp.h.Env.RTOHigh)
-	qp.h.NIC.Kick()
+	s.rtoSafe.Reset(s.Env().RTOHigh)
+	s.Kick()
 }
 
 // ---------- receiver ----------
 
-type recvQP struct {
-	sender   packet.NodeID
-	flowID   uint64
-	total    uint32
-	received *bitset
+type receiver struct {
+	pl     *puller
+	sender packet.NodeID
+	flowID uint64
+	*base.Reorder
 
 	pullDue int // pulls owed (one per data/header arrival)
 	queued  bool
 }
 
-func (h *Host) recvData(p *packet.Packet, trimmed bool) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{sender: p.Src, flowID: p.FlowID, total: p.MsgLen}
-		qp.received = newBitset(p.MsgLen)
-		h.recv[p.FlowID] = qp
-	}
-	if trimmed {
-		// NACK right away so the retransmission is queued, and owe a pull
-		// for the lost payload.
-		nack := packet.AckPacket(p.FlowID, p.Dst, p.Src, 0)
+// Receive NACKs a trimmed header right away, so the retransmission is
+// queued, and owes a pull for the lost payload; new data is ACKed, and
+// owes a pull until the flow is complete.
+func (r *receiver) Receive(p *packet.Packet) {
+	ep := r.pl.ep
+	if p.Kind == packet.KindHO {
+		nack := ep.Ack(p, 0)
 		nack.Ack = packet.AckNak
 		nack.SackPSN = p.PSN
-		h.QueueCtrl(nack)
-		qp.pullDue++
+		ep.QueueCtrl(nack)
+		r.pullDue++
 	} else {
-		if qp.received.set(p.PSN) {
-			ack := packet.AckPacket(p.FlowID, p.Dst, p.Src, 0)
+		if r.Accept(p) {
+			ack := ep.Ack(p, 0)
 			ack.Ack = packet.AckSelective
 			ack.SackPSN = p.PSN
-			ack.SentAt = p.SentAt
-			h.QueueCtrl(ack)
+			ep.QueueCtrl(ack)
 		}
-		if uint32(qp.received.count) < qp.total {
-			qp.pullDue++
+		if !r.Done() {
+			r.pullDue++
 		}
 	}
-	h.enqueuePull(qp)
+	r.pl.enqueue(r)
 }
 
-// enqueuePull registers that qp is owed pulls and arms the shared pacer.
-func (h *Host) enqueuePull(qp *recvQP) {
-	if qp.pullDue > 0 && !qp.queued {
-		qp.queued = true
-		h.pullRR = append(h.pullRR, qp)
+// puller is the pull pacer shared by every receiving flow on one NIC: NDP
+// grants exactly one packet's worth of credit per MTU-time at the
+// receiver's line rate, round-robin across flows that are owed pulls.
+type puller struct {
+	ep       *base.Endpoint
+	rr       []*receiver
+	pacer    *sim.Timer
+	on       bool
+	lastPull units.Time
+}
+
+// enqueue registers that r is owed pulls and arms the pacer.
+func (pl *puller) enqueue(r *receiver) {
+	if r.pullDue > 0 && !r.queued {
+		r.queued = true
+		pl.rr = append(pl.rr, r)
 	}
-	h.startPacer()
+	pl.start()
 }
 
-// startPacer arms the NIC-wide pull clock: one pull per MTU-time at the
+// start arms the NIC-wide pull clock: one pull per MTU-time at the
 // receiver's line rate, the NDP pacing rule that keeps the access link
 // exactly full regardless of how many flows converge on it.
-func (h *Host) startPacer() {
-	if h.pacerOn || len(h.pullRR) == 0 {
+func (pl *puller) start() {
+	if pl.on || len(pl.rr) == 0 {
 		return
 	}
-	h.pacerOn = true
-	interval := units.TxTime(h.Env.MTU+packet.DataHeaderSize, h.NIC.Rate())
-	next := h.lastPull + interval
-	now := h.Eng.Now()
+	pl.on = true
+	ep := pl.ep
+	interval := units.TxTime(ep.Env.MTU+packet.DataHeaderSize, ep.NIC.Rate())
+	next := pl.lastPull + interval
+	now := ep.Eng.Now()
 	if next < now {
 		next = now
 	}
-	h.pacer.Reset(next - now)
+	pl.pacer.Reset(next - now)
 }
 
-func (h *Host) pullTick() {
-	h.pacerOn = false
-	for len(h.pullRR) > 0 {
-		qp := h.pullRR[0]
-		h.pullRR = h.pullRR[1:]
-		if qp.pullDue == 0 || uint32(qp.received.count) >= qp.total {
-			qp.queued = false
+func (pl *puller) tick() {
+	pl.on = false
+	for len(pl.rr) > 0 {
+		r := pl.rr[0]
+		pl.rr = pl.rr[1:]
+		if r.pullDue == 0 || r.Done() {
+			r.queued = false
 			continue
 		}
-		qp.pullDue--
-		if qp.pullDue > 0 {
-			h.pullRR = append(h.pullRR, qp) // stay in the rotation
+		r.pullDue--
+		if r.pullDue > 0 {
+			pl.rr = append(pl.rr, r) // stay in the rotation
 		} else {
-			qp.queued = false
+			r.queued = false
 		}
-		h.lastPull = h.Eng.Now()
-		pull := packet.AckPacket(qp.flowID, 0, qp.sender, 0)
-		pull.Src = h.NIC.ID()
+		pl.lastPull = pl.ep.Eng.Now()
+		pull := packet.AckPacket(r.flowID, pl.ep.NIC.ID(), r.sender, 0)
 		pull.Ack = packet.AckPull
-		h.QueueCtrl(pull)
+		pl.ep.QueueCtrl(pull)
 		break
 	}
-	h.startPacer()
+	pl.start()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcpsim/internal/exp"
+	"dcpsim/internal/fabric"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
 	"dcpsim/internal/stats"
@@ -15,14 +16,7 @@ import (
 func run(t *testing.T, size int64, loss float64, seed int64) (*exp.Sim, *stats.FlowRecord) {
 	t.Helper()
 	sch := exp.SchemeNDP()
-	s := exp.NewSim(seed, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		cfg.Switch.LossRate = loss
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(seed, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = loss }))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 	if left := s.Run(60 * units.Second); left != 0 {
 		t.Fatalf("unfinished at %v", s.Eng.Now())
@@ -88,15 +82,10 @@ func TestIncastReceiverPacing(t *testing.T) {
 
 func TestSafetyTimerCoversDeadControlPlane(t *testing.T) {
 	sch := exp.SchemeNDP()
-	s := exp.NewSim(3, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		cfg.Switch.LossRate = 0.02
-		cfg.Switch.CtrlQueueCap = 0 // headers all dropped: NACKs never form
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(3, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) {
+		c.LossRate = 0.02
+		c.CtrlQueueCap = 0 // headers all dropped: NACKs never form
+	}))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 1 << 20}})
 	if left := s.Run(120 * units.Second); left != 0 {
 		t.Fatal("unfinished")

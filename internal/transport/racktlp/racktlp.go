@@ -7,80 +7,33 @@
 package racktlp
 
 import (
-	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
 	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
-// Host is a RACK-TLP endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
-// New builds a RACK-TLP endpoint.
+// New builds a RACK-TLP endpoint over the order-tolerant receiver, whose
+// every ACK also SACKs the arriving PSN.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "racktlp" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name:        "racktlp",
+		NewSender:   newSender,
+		NewReceiver: base.CumulativeReceiver(true),
+	})
 }
 
 // pktState is the per-packet state RACK requires — the memory overhead the
 // paper contrasts with DCP's constant per-message counters.
 type pktState struct {
-	sentAt  units.Time
-	sacked  bool
-	queued  bool // queued for retransmission
-	retrans bool
+	sentAt units.Time
+	sacked bool
+	queued bool // queued for retransmission
 }
 
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
-
-	totalPkts uint32
-	lastPay   int
+type sender struct {
+	*base.SendQP
 
 	una     uint32
 	nextPSN uint32
@@ -93,275 +46,199 @@ type senderQP struct {
 	// packets sent reoWnd earlier and still unSACKed are lost.
 	rackTime units.Time
 
-	retxQ     []uint32
-	retxHead  int
-	inflight  int
-	lastAckAt units.Time
+	retxQ    []uint32
+	retxHead int
+	inflight int
 
 	rackTimer *sim.Timer // reorder-window expiry check
 	probe     *sim.Timer // TLP
 	rto       *sim.Timer
-	done      bool
 }
 
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.pkts = make([]pktState, qp.totalPkts)
-	qp.srtt = env.BaseRTT
-	qp.minRTT = env.BaseRTT
-	qp.rackTimer = sim.NewTimer(h.Eng, qp.rackCheck)
-	qp.probe = sim.NewTimer(h.Eng, qp.onProbe)
-	qp.rto = sim.NewTimer(h.Eng, qp.onRTO)
-	qp.probe.Reset(2 * qp.srtt)
-	qp.rto.Reset(env.RTOHigh)
-	return qp
+func newSender(q *base.SendQP) base.Sender {
+	env := q.Env()
+	s := &sender{SendQP: q}
+	s.pkts = make([]pktState, q.Pkts)
+	s.srtt = env.BaseRTT
+	s.minRTT = env.BaseRTT
+	s.rackTimer = q.NewTimer(s.rackCheck)
+	s.probe = q.NewTimer(s.onProbe)
+	s.rto = q.NewTimer(s.onRTO)
+	s.probe.Reset(2 * s.srtt)
+	s.rto.Reset(env.RTOHigh)
+	return s
 }
 
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
+func (s *sender) reoWnd() units.Time { return s.minRTT / 4 }
 
-func (qp *senderQP) reoWnd() units.Time { return qp.minRTT / 4 }
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
-// Next implements base.QP.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done {
-		return nil, 0
-	}
-	// Queued (RACK-marked lost) retransmissions first.
-	for qp.retxHead < len(qp.retxQ) {
-		psn := qp.retxQ[qp.retxHead]
-		st := &qp.pkts[psn]
-		if st.sacked || base.SeqLess(psn, qp.una) {
-			qp.retxHead++
+// Next implements base.QP: queued (RACK-marked lost) retransmissions
+// first, then new data.
+func (s *sender) Next(now units.Time) (*packet.Packet, units.Time) {
+	for s.retxHead < len(s.retxQ) {
+		psn := s.retxQ[s.retxHead]
+		st := &s.pkts[psn]
+		if st.sacked || base.SeqLess(psn, s.una) {
+			s.retxHead++
 			continue
 		}
-		size := qp.payloadAt(psn)
-		ok, at := qp.ctl.CanSend(now, qp.inflight, size)
+		size := s.PayloadAt(psn)
+		ok, at := s.CC.CanSend(now, s.inflight, size)
 		if !ok {
 			return nil, at
 		}
-		qp.retxHead++
+		s.retxHead++
 		st.queued = false
-		st.retrans = true
 		st.sentAt = now
-		qp.rec.RetransPkts++
-		qp.inflight += size
-		qp.ctl.OnSent(now, size)
-		return qp.emit(now, psn, size, true), 0
+		return s.send(now, psn, size, true), 0
 	}
-	if qp.retxHead > 0 && qp.retxHead == len(qp.retxQ) {
-		qp.retxQ = qp.retxQ[:0]
-		qp.retxHead = 0
+	if s.retxHead > 0 && s.retxHead == len(s.retxQ) {
+		s.retxQ = s.retxQ[:0]
+		s.retxHead = 0
 	}
-	if base.SeqLess(qp.nextPSN, qp.totalPkts) {
-		size := qp.payloadAt(qp.nextPSN)
-		ok, at := qp.ctl.CanSend(now, qp.inflight, size)
+	if base.SeqLess(s.nextPSN, s.Pkts) {
+		size := s.PayloadAt(s.nextPSN)
+		ok, at := s.CC.CanSend(now, s.inflight, size)
 		if !ok {
 			return nil, at
 		}
-		psn := qp.nextPSN
-		qp.nextPSN++
-		qp.pkts[psn].sentAt = now
-		qp.rec.DataPkts++
-		qp.inflight += size
-		qp.ctl.OnSent(now, size)
-		return qp.emit(now, psn, size, false), 0
+		psn := s.nextPSN
+		s.nextPSN++
+		s.pkts[psn].sentAt = now
+		return s.send(now, psn, size, false), 0
 	}
 	return nil, 0
 }
 
-func (qp *senderQP) emit(now units.Time, psn uint32, size int, retrans bool) *packet.Packet {
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	p.Retransmitted = retrans
+func (s *sender) send(now units.Time, psn uint32, size int, retrans bool) *packet.Packet {
+	p := s.Data(now, psn, size, retrans)
+	s.inflight += size
+	s.CC.OnSent(now, size)
 	return p
 }
 
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
-	qp.lastAckAt = now
+// OnAck implements base.Sender.
+func (s *sender) OnAck(p *packet.Packet) {
+	now := s.Now()
 	if p.SentAt > 0 {
 		rtt := now - p.SentAt
-		if rtt < qp.minRTT {
-			qp.minRTT = rtt
+		if rtt < s.minRTT {
+			s.minRTT = rtt
 		}
-		qp.srtt = (7*qp.srtt + rtt) / 8
+		s.srtt = (7*s.srtt + rtt) / 8
 	}
-	newly := func(psn uint32) {
-		st := &qp.pkts[psn]
-		if !st.sacked {
-			st.sacked = true
-			size := qp.payloadAt(psn)
-			qp.inflight -= size
-			if qp.inflight < 0 {
-				qp.inflight = 0
-			}
-			qp.ctl.OnAck(now, size, 0)
-			if st.sentAt > qp.rackTime {
-				qp.rackTime = st.sentAt
-			}
+	if base.SeqLess(s.una, p.EPSN) {
+		for psn := s.una; base.SeqLess(psn, p.EPSN); psn++ {
+			s.delivered(now, psn)
 		}
-	}
-	if base.SeqLess(qp.una, p.EPSN) {
-		for psn := qp.una; base.SeqLess(psn, p.EPSN); psn++ {
-			newly(psn)
-		}
-		qp.una = p.EPSN
-		qp.rto.Reset(qp.h.Env.RTOHigh)
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.complete(now)
+		s.una = p.EPSN
+		s.rto.Reset(s.Env().RTOHigh)
+		if base.SeqGEQ(s.una, s.Pkts) {
+			s.Complete(now)
 			return
 		}
 	}
-	if p.Ack == packet.AckSelective && base.SeqLess(p.SackPSN, qp.totalPkts) {
-		newly(p.SackPSN)
+	if p.Ack == packet.AckSelective && base.SeqLess(p.SackPSN, s.Pkts) {
+		s.delivered(now, p.SackPSN)
 	}
-	qp.probe.Reset(2 * qp.srtt)
-	qp.rackDetect(now)
-	qp.h.NIC.Kick()
+	s.probe.Reset(2 * s.srtt)
+	s.rackDetect(now)
+	s.Kick()
+}
+
+// delivered records the first acknowledgment of psn: its window share
+// returns and it becomes a RACK reference point.
+func (s *sender) delivered(now units.Time, psn uint32) {
+	st := &s.pkts[psn]
+	if st.sacked {
+		return
+	}
+	st.sacked = true
+	size := s.PayloadAt(psn)
+	s.inflight -= size
+	if s.inflight < 0 {
+		s.inflight = 0
+	}
+	s.CC.OnAck(now, size, 0)
+	if st.sentAt > s.rackTime {
+		s.rackTime = st.sentAt
+	}
 }
 
 // markLost queues psn for retransmission and releases its window share: a
 // packet declared lost is no longer in flight (without this, every real
 // loss would permanently leak window credit and stall the pipe).
-func (qp *senderQP) markLost(psn uint32) {
-	st := &qp.pkts[psn]
+func (s *sender) markLost(psn uint32) {
+	st := &s.pkts[psn]
 	if st.sacked || st.queued {
 		return
 	}
 	st.queued = true
-	qp.retxQ = append(qp.retxQ, psn)
-	qp.inflight -= qp.payloadAt(psn)
-	if qp.inflight < 0 {
-		qp.inflight = 0
+	s.retxQ = append(s.retxQ, psn)
+	s.inflight -= s.PayloadAt(psn)
+	if s.inflight < 0 {
+		s.inflight = 0
 	}
 }
 
 // rackDetect marks as lost every unSACKed packet sent more than reoWnd
 // before the most recently delivered packet, and arms the reorder timer for
 // packets still inside the window.
-func (qp *senderQP) rackDetect(now units.Time) {
-	reo := qp.reoWnd()
+func (s *sender) rackDetect(now units.Time) {
+	reo := s.reoWnd()
 	var nextDeadline units.Time
-	limit := qp.nextPSN
-	for psn := qp.una; base.SeqLess(psn, limit); psn++ {
-		st := &qp.pkts[psn]
+	for psn := s.una; base.SeqLess(psn, s.nextPSN); psn++ {
+		st := &s.pkts[psn]
 		if st.sacked || st.queued || st.sentAt == 0 {
 			continue
 		}
-		if qp.rackTime > st.sentAt+reo {
-			qp.markLost(psn)
+		if s.rackTime > st.sentAt+reo {
+			s.markLost(psn)
 			continue
 		}
 		// Not yet declarable: it may become declarable purely by time.
-		dl := st.sentAt + qp.srtt + reo
+		dl := st.sentAt + s.srtt + reo
 		if dl > now && (nextDeadline == 0 || dl < nextDeadline) {
 			nextDeadline = dl
-		} else if dl <= now && qp.rackTime >= st.sentAt {
-			qp.markLost(psn)
+		} else if dl <= now && s.rackTime >= st.sentAt {
+			s.markLost(psn)
 		}
 	}
 	if nextDeadline > 0 {
-		qp.rackTimer.Reset(nextDeadline - now)
+		s.rackTimer.Reset(nextDeadline - now)
 	}
 }
 
-func (qp *senderQP) rackCheck() {
-	if qp.done {
-		return
-	}
-	qp.rackDetect(qp.h.Eng.Now())
-	qp.h.NIC.Kick()
+func (s *sender) rackCheck() {
+	s.rackDetect(s.Now())
+	s.Kick()
 }
 
 // onProbe is the tail loss probe: after 2×SRTT without ACKs, retransmit the
 // highest outstanding packet to elicit a SACK.
-func (qp *senderQP) onProbe() {
-	if qp.done || qp.nextPSN == 0 || base.SeqGEQ(qp.una, qp.nextPSN) {
-		if !qp.done {
-			qp.probe.Reset(2 * qp.srtt)
-		}
+func (s *sender) onProbe() {
+	if s.nextPSN == 0 || base.SeqGEQ(s.una, s.nextPSN) {
+		s.probe.Reset(2 * s.srtt)
 		return
 	}
-	for psn := qp.nextPSN; base.SeqLess(qp.una, psn); psn-- {
-		st := &qp.pkts[psn-1]
+	for psn := s.nextPSN; base.SeqLess(s.una, psn); psn-- {
+		st := &s.pkts[psn-1]
 		if !st.sacked && !st.queued {
-			qp.markLost(psn - 1)
+			s.markLost(psn - 1)
 			break
 		}
 	}
-	qp.probe.Reset(2 * qp.srtt)
-	qp.h.NIC.Kick()
+	s.probe.Reset(2 * s.srtt)
+	s.Kick()
 }
 
-func (qp *senderQP) onRTO() {
-	if qp.done {
-		return
-	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		for psn := qp.una; base.SeqLess(psn, qp.nextPSN); psn++ {
-			qp.markLost(psn)
+func (s *sender) onRTO() {
+	if base.SeqLess(s.una, s.nextPSN) {
+		s.TimedOut(s.una)
+		for psn := s.una; base.SeqLess(psn, s.nextPSN); psn++ {
+			s.markLost(psn)
 		}
-		qp.inflight = 0
-		qp.h.NIC.Kick()
+		s.inflight = 0
+		s.Kick()
 	}
-	qp.rto.Reset(qp.h.Env.RTOHigh)
-}
-
-func (qp *senderQP) complete(now units.Time) {
-	qp.done = true
-	qp.rackTimer.Stop()
-	qp.probe.Stop()
-	qp.rto.Stop()
-	qp.ctl.Close()
-	qp.h.Env.Collector.Done(qp.flow.ID, now)
-}
-
-type recvQP struct {
-	ePSN     uint32
-	received []uint64
-	total    uint32
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{received: make([]uint64, (p.MsgLen+63)/64), total: p.MsgLen}
-		h.recv[p.FlowID] = qp
-	}
-	w, b := p.PSN/64, p.PSN%64
-	dup := qp.received[w]&(1<<b) != 0
-	if !dup {
-		qp.received[w] |= 1 << b
-		for base.SeqLess(qp.ePSN, qp.total) && qp.received[qp.ePSN/64]&(1<<(qp.ePSN%64)) != 0 {
-			qp.ePSN++
-		}
-	}
-	a := packet.AckPacket(p.FlowID, p.Dst, p.Src, qp.ePSN)
-	a.Tag = packet.TagNonDCP
-	a.Ack = packet.AckSelective
-	a.SackPSN = p.PSN
-	a.SentAt = p.SentAt
-	h.QueueCtrl(a)
+	s.rto.Reset(s.Env().RTOHigh)
 }

@@ -5,23 +5,14 @@ import (
 
 	"dcpsim/internal/exp"
 	"dcpsim/internal/fabric"
-	"dcpsim/internal/sim"
 	"dcpsim/internal/stats"
-	"dcpsim/internal/topo"
 	"dcpsim/internal/units"
 	"dcpsim/internal/workload"
 )
 
 func run(t *testing.T, sch exp.Scheme, size int64, loss float64, seed int64) *stats.FlowRecord {
 	t.Helper()
-	s := exp.NewSim(seed, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		cfg.Switch.LossRate = loss
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(seed, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = loss }))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 	if left := s.Run(120 * units.Second); left != 0 {
 		t.Fatalf("unfinished at %v", s.Eng.Now())
@@ -82,13 +73,7 @@ func TestToleratesReordering(t *testing.T) {
 	// reordering (its design goal vs plain dupack counting).
 	sch := exp.SchemeRACK()
 	sch.LB = fabric.LBSpray
-	s := exp.NewSim(11, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 2
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(11, sch, exp.PairNet(sch, 2, nil))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: 8 << 20}})
 	if s.Run(30*units.Second) != 0 {
 		t.Fatal("unfinished")

@@ -45,7 +45,7 @@ func Expand(ref, v uint32) uint32 { return ref + seq24Diff(v, ref) }
 // Range is one SACK block: the receiver holds every PSN in [Lo, Hi).
 // On the wire the bounds are 24-bit values; inside the endpoints they are
 // full-space PSNs.
-type Range struct{ Lo, Hi uint32 }
+type Range = base.Range
 
 // Window is a sliding PSN-indexed bitmap of fixed capacity. Bit addressing
 // is psn & (size-1): any window of `size` consecutive PSNs maps bijectively
@@ -124,42 +124,22 @@ func (w *Window) clear(psn uint32) {
 	}
 }
 
-// nextSet returns the first set PSN in [from, high), scanning word-wise.
-func (w *Window) nextSet(from uint32) (uint32, bool) {
-	psn := from
-	if base.SeqLess(psn, w.base) {
-		psn = w.base
-	}
-	for base.SeqLess(psn, w.high) {
+// next returns the first PSN in [from, high) whose bit equals set, or high
+// when there is none, scanning word-wise.
+func (w *Window) next(from uint32, set bool) uint32 {
+	for psn := from; base.SeqLess(psn, w.high); {
 		i := psn & w.mask
-		word := w.words[i/64] >> (i % 64)
-		if word != 0 {
-			cand := psn + uint32(bits.TrailingZeros64(word))
-			if base.SeqLess(cand, w.high) {
-				return cand, true
-			}
-			return 0, false
+		word := w.words[i/64]
+		if !set {
+			word = ^word
 		}
-		psn += 64 - (i % 64)
-	}
-	return 0, false
-}
-
-// nextClear returns the first clear PSN in [from, high), or high when the
-// span is fully set.
-func (w *Window) nextClear(from uint32) uint32 {
-	psn := from
-	for base.SeqLess(psn, w.high) {
-		i := psn & w.mask
-		word := (^w.words[i/64]) >> (i % 64)
-		if word != 0 {
-			cand := psn + uint32(bits.TrailingZeros64(word))
-			if base.SeqLess(cand, w.high) {
+		if word >>= i % 64; word != 0 {
+			if cand := psn + uint32(bits.TrailingZeros64(word)); base.SeqLess(cand, w.high) {
 				return cand
 			}
 			return w.high
 		}
-		psn += 64 - (i % 64)
+		psn += 64 - i%64
 	}
 	return w.high
 }
@@ -168,7 +148,7 @@ func (w *Window) nextClear(from uint32) uint32 {
 // front, clearing them, and returns the new base — the receiver's
 // cumulative-ack point after in-order delivery.
 func (w *Window) Advance() uint32 {
-	to := w.nextClear(w.base)
+	to := w.next(w.base, false)
 	for psn := w.base; base.SeqLess(psn, to); psn++ {
 		w.clear(psn)
 	}
@@ -186,7 +166,7 @@ func (w *Window) SlideTo(newBase uint32) {
 	if !base.SeqLess(w.base, newBase) {
 		return
 	}
-	for psn, ok := w.nextSet(w.base); ok && base.SeqLess(psn, newBase); psn, ok = w.nextSet(psn + 1) {
+	for psn := w.next(w.base, true); base.SeqLess(psn, newBase) && base.SeqLess(psn, w.high); psn = w.next(psn+1, true) {
 		w.clear(psn)
 	}
 	w.base = newBase
@@ -205,11 +185,11 @@ func (w *Window) Ranges(max int) []Range {
 	var out []Range
 	psn := w.base
 	for len(out) < max {
-		lo, ok := w.nextSet(psn)
-		if !ok {
+		lo := w.next(psn, true)
+		if !base.SeqLess(lo, w.high) {
 			break
 		}
-		hi := w.nextClear(lo)
+		hi := w.next(lo, false)
 		out = append(out, Range{Lo: lo, Hi: hi})
 		psn = hi + 1
 	}

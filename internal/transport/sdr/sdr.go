@@ -1,27 +1,16 @@
-// This file holds the SDR endpoint state machines. The sender is
-// BDP/window-bounded and retransmits straight from SACK holes (each hole
-// at most once per recovery episode, IRN-style, with the RTOlow/RTOhigh
-// timeout pair as the last resort); the receiver is the driving side: it
-// answers every data packet with a cumulative ACK carrying the encoded
-// SACK state of its sliding window bitmap.
+// This file holds the SDR endpoint: the shared selective-repeat sender
+// over sliding-window scoreboards (each hole retransmitted at most once per
+// recovery episode, IRN-style, with the RTOlow/RTOhigh timeout pair as the
+// last resort), and the receiver, which is the driving side: it answers
+// every data packet with a cumulative ACK carrying the encoded SACK state
+// of its sliding window bitmap.
 package sdr
 
 import (
-	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
-	"dcpsim/internal/obs"
 	"dcpsim/internal/packet"
-	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
-	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
-
-// rtoLowThreshold mirrors IRN's N: with fewer than N packets outstanding
-// there may be no later packet to trigger a SACK, so the short timeout
-// applies.
-const rtoLowThreshold = 3
 
 // senderFixedState approximates the non-bitmap per-QP sender footprint
 // (sequence cursors, timer, episode state), for the state-bytes account.
@@ -30,368 +19,83 @@ const senderFixedState = 64
 // recvFixedState approximates the non-bitmap per-QP receiver footprint.
 const recvFixedState = 32
 
-// Host is an SDR endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
 // New builds an SDR endpoint.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "sdr", CNP: true,
+		NewSender:   newSender,
+		NewReceiver: newReceiver,
+	})
 }
 
-// Name implements base.Transport.
-func (h *Host) Name() string { return "sdr" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	if h.Env.Trace != nil {
-		h.Env.Trace.Flow(h.Eng.Now(), obs.EvFlowStart, f.Src, f.ID, f.Size)
+// newSender bounds both the SACK scoreboard and the retransmit marks to
+// the sliding window, and new data to the window's span above una, so the
+// receiver's fixed bitmap always covers everything in flight.
+func newSender(q *base.SendQP) base.Sender {
+	size := q.Env().SDR.WindowPkts
+	sacked := NewWindow(size)
+	q.Rec.NoteSendState(2*sacked.StateBytes() + senderFixedState)
+	marks := func(una uint32) base.Scoreboard {
+		w := NewWindow(size)
+		w.SlideTo(una)
+		return w
 	}
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
+	return base.NewSelective(q, sacked, sacked.Size(), marks, decodeAck)
 }
 
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
-
-	totalPkts uint32
-	lastPay   int
-
-	una     uint32
-	nextPSN uint32
-	// sacked is the SACK scoreboard: a window bitmap whose base follows
-	// una. highSack is one past the highest SACKed PSN (0 = none).
-	sacked   *Window
-	highSack uint32
-
-	// Loss recovery episode: entered on the first SACK that exposes a hole
-	// (or on timeout), left when una passes recoverPSN; each hole is
-	// retransmitted at most once per episode.
-	inRecovery    bool
-	timeoutMode   bool
-	recoverPSN    uint32
-	retransmitted *Window
-	scan          uint32
-
-	timer     *sim.Timer
-	sackedOut int // SACKed PSNs at or above una (window credit already returned)
-	done      bool
-}
-
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.sacked = NewWindow(env.SDR.WindowPkts)
-	qp.retransmitted = NewWindow(env.SDR.WindowPkts)
-	qp.rec.NoteSendState(qp.sacked.StateBytes() + qp.retransmitted.StateBytes() + senderFixedState)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.resetTimer()
-	return qp
-}
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// inflightBytes is the BDP window charge: the span of outstanding packets,
-// minus the ones already SACKed out of it. Retransmissions never widen it.
-func (qp *senderQP) inflightBytes() int {
-	n := int(base.SeqDiff(qp.nextPSN, qp.una)) - qp.sackedOut
-	if n < 0 {
-		n = 0
-	}
-	return n * qp.h.Env.MTU
-}
-
-func (qp *senderQP) resetTimer() {
-	if base.SeqDiff(qp.nextPSN, qp.una) < rtoLowThreshold {
-		qp.timer.Reset(qp.h.Env.RTOLow)
-	} else {
-		qp.timer.Reset(qp.h.Env.RTOHigh)
-	}
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
-// Next implements base.QP: retransmissions (while in a recovery episode)
-// take priority over new data; new data additionally respects the sliding
-// tracking window — the sender never runs more than WindowPkts past una,
-// so the receiver's fixed bitmap always covers everything in flight.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done {
-		return nil, 0
-	}
-	if qp.inRecovery {
-		if psn, ok := qp.nextLost(); ok {
-			size := qp.payloadAt(psn)
-			// Retransmissions stay inside the already-charged window span:
-			// charging them again deadlocks after a whole-window loss.
-			ok2, at := qp.ctl.CanSend(now, 0, size)
-			if !ok2 {
-				return nil, at
-			}
-			qp.retransmitted.Set(psn)
-			qp.scan = psn + 1
-			qp.rec.RetransPkts++
-			if env := qp.h.Env; env.Trace != nil {
-				env.Trace.Emit(obs.Event{At: now, Type: obs.EvRetransmit, Node: qp.flow.Src, Port: -1,
-					Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-			}
-			qp.ctl.OnSent(now, size+packet.DataHeaderSize)
-			return qp.emit(now, psn, size, true), 0
-		}
-	}
-	if base.SeqLess(qp.nextPSN, qp.totalPkts) &&
-		base.SeqLess(qp.nextPSN, qp.una+qp.sacked.Size()) {
-		size := qp.payloadAt(qp.nextPSN)
-		ok, at := qp.ctl.CanSend(now, qp.inflightBytes(), size)
-		if !ok {
-			return nil, at
-		}
-		psn := qp.nextPSN
-		qp.nextPSN++
-		qp.rec.DataPkts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: now, Type: obs.EvSend, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: psn, Size: int32(size)})
-		}
-		qp.ctl.OnSent(now, size+packet.DataHeaderSize)
-		return qp.emit(now, psn, size, false), 0
-	}
-	return nil, 0
-}
-
-func (qp *senderQP) emit(now units.Time, psn uint32, size int, retrans bool) *packet.Packet {
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	p.Retransmitted = retrans
-	return p
-}
-
-// nextLost scans for the next retransmission candidate: unSACKed, not yet
-// retransmitted this episode, and (unless the episode began with a
-// timeout) below the highest SACKed PSN — a hole the receiver has proven.
-func (qp *senderQP) nextLost() (uint32, bool) {
-	limit := qp.highSack
-	if qp.timeoutMode {
-		limit = qp.nextPSN
-	}
-	psn := qp.scan
-	if base.SeqLess(psn, qp.una) {
-		psn = qp.una
-	}
-	for ; base.SeqLess(psn, limit) && base.SeqLess(psn, qp.nextPSN); psn++ {
-		if !qp.sacked.Get(psn) && !qp.retransmitted.Get(psn) {
-			return psn, true
-		}
-	}
-	return 0, false
-}
-
-// onAck consumes one receiver report: the cumulative point and the SACK
-// ranges both arrive in the 24-bit wire blob and are expanded against una.
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	wireEPSN, wireRanges, err := DecodeSack(p.SackBlob)
+// decodeAck reads the cumulative point and SACK ranges from the 24-bit
+// wire blob, expanded against una.
+func decodeAck(p *packet.Packet, una uint32, _ []Range) (uint32, []Range, bool) {
+	epsn, ranges, err := DecodeSack(p.SackBlob)
 	if err != nil {
 		// A malformed blob cannot happen on the simulated wire; drop it
 		// rather than guessing.
-		return
+		return 0, nil, false
 	}
-	now := qp.h.Eng.Now()
-	progressed := false
-	epsn := Expand(qp.una, wireEPSN)
-	if base.SeqLess(qp.una, epsn) && base.SeqGEQ(qp.totalPkts, epsn) {
-		var acked int
-		for psn := qp.una; base.SeqLess(psn, epsn); psn++ {
-			if qp.sacked.Get(psn) {
-				qp.sackedOut-- // already credited when SACKed
-			} else {
-				acked += qp.payloadAt(psn)
-			}
-		}
-		qp.sacked.SlideTo(epsn)
-		qp.retransmitted.SlideTo(epsn)
-		qp.una = epsn
-		if qp.sackedOut < 0 {
-			qp.sackedOut = 0
-		}
-		var rtt units.Time
-		if p.SentAt > 0 {
-			rtt = now - p.SentAt
-		}
-		qp.ctl.OnAck(now, acked, rtt)
-		progressed = true
+	for i, r := range ranges {
+		ranges[i] = Range{Lo: Expand(una, r.Lo), Hi: Expand(una, r.Hi)}
 	}
-	sawHole := false
-	for _, wr := range wireRanges {
-		lo, hi := Expand(qp.una, wr.Lo), Expand(qp.una, wr.Hi)
-		for psn := lo; base.SeqLess(psn, hi) && base.SeqLess(psn, qp.nextPSN); psn++ {
-			if base.SeqGEQ(psn, qp.una) && qp.sacked.Set(psn) {
-				qp.sackedOut++
-				qp.ctl.OnAck(now, qp.payloadAt(psn), 0)
-			}
-			if base.SeqLess(qp.highSack, psn+1) {
-				qp.highSack = psn + 1
-			}
-		}
-		sawHole = true
-	}
-	// A SACK range proves at least one hole below it: enter recovery.
-	if sawHole && !qp.inRecovery {
-		qp.enterRecovery(false)
-	}
-	if progressed {
-		qp.resetTimer()
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.complete(now)
-			return
-		}
-		if qp.inRecovery && base.SeqLess(qp.recoverPSN, qp.una) {
-			qp.inRecovery = false
-			qp.timeoutMode = false
-		}
-	}
-	qp.h.NIC.Kick()
+	return Expand(una, epsn), ranges, true
 }
 
-func (qp *senderQP) enterRecovery(timeout bool) {
-	qp.inRecovery = true
-	qp.timeoutMode = timeout
-	if qp.nextPSN > 0 {
-		qp.recoverPSN = qp.nextPSN - 1
-	}
-	// Reset the per-episode retransmit marks by re-basing a fresh window.
-	qp.retransmitted = NewWindow(int(qp.sacked.Size()))
-	qp.retransmitted.SlideTo(qp.una)
-	qp.scan = qp.una
+type receiver struct {
+	ep     *base.Endpoint
+	win    *Window
+	placed uint32
+	total  uint32
 }
 
-func (qp *senderQP) complete(now units.Time) {
-	qp.done = true
-	qp.timer.Stop()
-	qp.ctl.Close()
-	if env := qp.h.Env; env.Trace != nil {
-		env.Trace.Flow(now, obs.EvFlowDone, qp.flow.Src, qp.flow.ID, qp.flow.Size)
+func newReceiver(ep *base.Endpoint, first *packet.Packet) base.Receiver {
+	r := &receiver{ep: ep, win: NewWindow(ep.Env.SDR.WindowPkts), total: first.MsgLen}
+	if rec := ep.Env.Collector.Flow(first.FlowID); rec != nil {
+		rec.NoteRecvState(r.win.StateBytes() + recvFixedState)
 	}
-	qp.h.Env.Collector.Done(qp.flow.ID, now)
+	return r
 }
 
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
-	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		if env := qp.h.Env; env.Trace != nil {
-			env.Trace.Emit(obs.Event{At: qp.h.Eng.Now(), Type: obs.EvTimeout, Node: qp.flow.Src, Port: -1,
-				Flow: qp.flow.ID, PSN: qp.una})
+// Receive places new arrivals and answers every arrival with the
+// cumulative point plus the current SACK ranges, encoded in the wire blob
+// (the ACK grows by the blob size). Duplicates and (never under a
+// compliant sender) beyond-window arrivals change no state; the ACK still
+// refreshes the sender.
+func (r *receiver) Receive(p *packet.Packet) {
+	if r.win.Set(p.PSN) {
+		r.placed++
+		r.ep.Place(p, 0, r.placed)
+		if r.placed == r.total {
+			r.ep.MsgComplete(p, r.total)
 		}
-		qp.enterRecovery(true)
-		qp.h.NIC.Kick()
-	}
-	qp.resetTimer()
-}
-
-type recvQP struct {
-	win     *Window
-	lastCNP units.Time
-	cnpSet  bool
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{win: NewWindow(h.Env.SDR.WindowPkts)}
-		h.recv[p.FlowID] = qp
-		if rec := h.Env.Collector.Flow(p.FlowID); rec != nil {
-			rec.NoteRecvState(qp.win.StateBytes() + recvFixedState)
+		if p.PSN == r.win.Base() {
+			r.win.Advance()
 		}
 	}
-	now := h.Eng.Now()
-	if p.ECN {
-		h.maybeCNP(qp, p, now)
-	}
-	// Duplicates and (never under a compliant sender) beyond-window
-	// arrivals change no state; the ACK below still refreshes the sender.
-	if qp.win.Set(p.PSN) && p.PSN == qp.win.Base() {
-		qp.win.Advance()
-	}
-	h.ack(p, qp)
-}
-
-// ack is the receiver-driven report: every data arrival is answered with
-// the cumulative point plus the current SACK ranges, encoded in the wire
-// blob (the packet grows by the blob size beyond the base ACK header).
-func (h *Host) ack(data *packet.Packet, qp *recvQP) {
-	epsn := qp.win.Base()
-	ranges := qp.win.Ranges(h.Env.SDR.MaxRanges)
-	a := packet.AckPacket(data.FlowID, data.Dst, data.Src, epsn)
-	a.Tag = packet.TagNonDCP
+	epsn := r.win.Base()
+	ranges := r.win.Ranges(r.ep.Env.SDR.MaxRanges)
+	a := r.ep.Ack(p, epsn)
 	if len(ranges) > 0 {
 		a.Ack = packet.AckSelective
 	}
 	a.SackBlob = EncodeSack(epsn, ranges)
 	a.Size += len(a.SackBlob)
-	a.SentAt = data.SentAt
-	h.QueueCtrl(a)
-}
-
-func (h *Host) maybeCNP(qp *recvQP, data *packet.Packet, now units.Time) {
-	if qp.cnpSet && now-qp.lastCNP < h.Env.CNPInterval {
-		return
-	}
-	qp.cnpSet = true
-	qp.lastCNP = now
-	h.QueueCtrl(&packet.Packet{
-		Kind: packet.KindCNP, Tag: packet.TagNonDCP, FlowID: data.FlowID,
-		Src: data.Dst, Dst: data.Src, Size: packet.CNPSize,
-	})
+	r.ep.QueueCtrl(a)
 }

@@ -10,10 +10,8 @@ import (
 	"dcpsim/internal/nic"
 	"dcpsim/internal/packet"
 	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
 	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
 // Stack cost model: each packet spends StackDelay in the host stack in each
@@ -23,64 +21,22 @@ const (
 	CPURate    = 40 * units.Gbps
 )
 
-// Host is a TCP-like endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
-// New builds a TCP-like endpoint.
-func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "tcp" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport: arrivals pay the receive-side stack
+// New builds a TCP-like endpoint. Arrivals pay the receive-side stack
 // delay before protocol processing.
-func (h *Host) Handle(p *packet.Packet) {
-	h.Eng.AfterComp(StackDelay, sim.CompTransport, func() {
-		switch p.Kind {
-		case packet.KindData:
-			h.recvData(p)
-		case packet.KindAck:
-			if qp := h.send[p.FlowID]; qp != nil {
-				qp.onAck(p)
-			}
-		}
+func New(n *nic.NIC, env *base.Env) base.Transport {
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name: "tcp", OwnWindow: true, StackDelay: StackDelay,
+		NewSender:   newSender,
+		NewReceiver: base.CumulativeReceiver(false),
 	})
 }
 
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-
-	totalPkts uint32
-	lastPay   int
+type sender struct {
+	*base.SendQP
 
 	una      uint32
 	nextPSN  uint32
-	firstTx  uint32
-	inflight int
+	sentHigh uint32 // one past the highest PSN ever sent: below it is a resend
 
 	cwnd     float64 // packets
 	ssthresh float64
@@ -88,142 +44,82 @@ type senderQP struct {
 
 	nextSend units.Time // CPU pacing
 	timer    *sim.Timer
-	done     bool
 }
 
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f, cwnd: 10, ssthresh: 1 << 20}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.timer.Reset(env.RTOHigh)
-	return qp
+func newSender(q *base.SendQP) base.Sender {
+	s := &sender{SendQP: q, cwnd: 10, ssthresh: 1 << 20}
+	s.timer = q.NewTimer(s.onTimeout)
+	s.timer.Reset(q.Env().RTOHigh)
+	return s
 }
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
 
 // Next implements base.QP.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done || base.SeqGEQ(qp.nextPSN, qp.totalPkts) {
+func (s *sender) Next(now units.Time) (*packet.Packet, units.Time) {
+	if base.SeqGEQ(s.nextPSN, s.Pkts) || float64(base.SeqDiff(s.nextPSN, s.una)) >= s.cwnd {
 		return nil, 0
 	}
-	if float64(base.SeqDiff(qp.nextPSN, qp.una)) >= qp.cwnd {
-		return nil, 0
+	if now < s.nextSend {
+		return nil, s.nextSend
 	}
-	if now < qp.nextSend {
-		return nil, qp.nextSend
+	psn := s.nextPSN
+	s.nextPSN++
+	size := s.PayloadAt(psn)
+	s.nextSend = now + units.TxTime(size, CPURate)
+	resend := base.SeqLess(psn, s.sentHigh)
+	if !resend {
+		s.sentHigh = psn + 1
 	}
-	psn := qp.nextPSN
-	qp.nextPSN++
-	size := qp.payloadAt(psn)
-	qp.nextSend = now + units.TxTime(size, CPURate)
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	if base.SeqLess(psn, qp.firstTx) {
-		p.Retransmitted = true
-		qp.rec.RetransPkts++
-	} else {
-		qp.firstTx = psn + 1
-		qp.rec.DataPkts++
-	}
-	return p, 0
+	return s.Data(now, psn, size, resend), 0
 }
 
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
+// OnAck implements base.Sender.
+func (s *sender) OnAck(p *packet.Packet) {
 	switch {
-	case base.SeqLess(qp.una, p.EPSN):
-		qp.una = p.EPSN
-		if base.SeqLess(qp.nextPSN, qp.una) {
+	case base.SeqLess(s.una, p.EPSN):
+		s.una = p.EPSN
+		if base.SeqLess(s.nextPSN, s.una) {
 			// A rewind raced a straggler cumulative ACK; never send
 			// already-acknowledged data (and never let nextPSN-una
 			// underflow).
-			qp.nextPSN = qp.una
+			s.nextPSN = s.una
 		}
-		qp.dupAcks = 0
-		if qp.cwnd < qp.ssthresh {
-			qp.cwnd++ // slow start
+		s.dupAcks = 0
+		if s.cwnd < s.ssthresh {
+			s.cwnd++ // slow start
 		} else {
-			qp.cwnd += 1 / qp.cwnd // congestion avoidance
+			s.cwnd += 1 / s.cwnd // congestion avoidance
 		}
-		qp.timer.Reset(qp.h.Env.RTOHigh)
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.done = true
-			qp.timer.Stop()
-			qp.h.Env.Collector.Done(qp.flow.ID, now)
+		s.timer.Reset(s.Env().RTOHigh)
+		if base.SeqGEQ(s.una, s.Pkts) {
+			s.Complete(s.Now())
 			return
 		}
-	case p.EPSN == qp.una && base.SeqLess(qp.una, qp.nextPSN):
-		qp.dupAcks++
-		if qp.dupAcks == 3 {
+	case p.EPSN == s.una && base.SeqLess(s.una, s.nextPSN):
+		s.dupAcks++
+		if s.dupAcks == 3 {
 			// Fast retransmit: Reno halves and resends the hole.
-			qp.ssthresh = qp.cwnd / 2
-			if qp.ssthresh < 2 {
-				qp.ssthresh = 2
-			}
-			qp.cwnd = qp.ssthresh
-			qp.nextPSN = qp.una
+			s.halve()
+			s.cwnd = s.ssthresh
+			s.nextPSN = s.una
 		}
 	}
-	qp.h.NIC.Kick()
+	s.Kick()
 }
 
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
+func (s *sender) halve() {
+	s.ssthresh = s.cwnd / 2
+	if s.ssthresh < 2 {
+		s.ssthresh = 2
 	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		qp.ssthresh = qp.cwnd / 2
-		if qp.ssthresh < 2 {
-			qp.ssthresh = 2
-		}
-		qp.cwnd = 1
-		qp.nextPSN = qp.una
-		qp.h.NIC.Kick()
-	}
-	qp.timer.Reset(qp.h.Env.RTOHigh)
 }
 
-type recvQP struct {
-	ePSN     uint32
-	received []uint64
-	total    uint32
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{received: make([]uint64, (p.MsgLen+63)/64), total: p.MsgLen}
-		h.recv[p.FlowID] = qp
+func (s *sender) onTimeout() {
+	if base.SeqLess(s.una, s.nextPSN) {
+		s.TimedOut(s.una)
+		s.halve()
+		s.cwnd = 1
+		s.nextPSN = s.una
+		s.Kick()
 	}
-	w, b := p.PSN/64, p.PSN%64
-	if qp.received[w]&(1<<b) == 0 {
-		qp.received[w] |= 1 << b
-		for base.SeqLess(qp.ePSN, qp.total) && qp.received[qp.ePSN/64]&(1<<(qp.ePSN%64)) != 0 {
-			qp.ePSN++
-		}
-	}
-	a := packet.AckPacket(p.FlowID, p.Dst, p.Src, qp.ePSN)
-	a.Tag = packet.TagNonDCP
-	a.SentAt = p.SentAt
-	h.QueueCtrl(a)
+	s.timer.Reset(s.Env().RTOHigh)
 }

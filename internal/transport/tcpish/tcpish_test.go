@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"dcpsim/internal/exp"
-	"dcpsim/internal/sim"
+	"dcpsim/internal/fabric"
 	"dcpsim/internal/stats"
-	"dcpsim/internal/topo"
 	"dcpsim/internal/units"
 	"dcpsim/internal/workload"
 )
@@ -14,14 +13,7 @@ import (
 func run(t *testing.T, size int64, loss float64) *stats.FlowRecord {
 	t.Helper()
 	sch := exp.SchemeTCP()
-	s := exp.NewSim(17, sch, func(eng *sim.Engine) *topo.Network {
-		cfg := topo.DefaultDumbbell()
-		cfg.HostsPerSwitch = 1
-		cfg.CrossLinks = 1
-		cfg.Switch = exp.SwitchConfigFor(sch)
-		cfg.Switch.LossRate = loss
-		return topo.Dumbbell(eng, cfg)
-	})
+	s := exp.NewSim(17, sch, exp.PairNet(sch, 1, func(c *fabric.SwitchConfig) { c.LossRate = loss }))
 	s.ScheduleFlows([]*workload.Flow{{ID: 1, Src: 0, Dst: 1, Size: size}})
 	if left := s.Run(120 * units.Second); left != 0 {
 		t.Fatalf("unfinished at %v", s.Eng.Now())

@@ -6,203 +6,17 @@
 package timeoutonly
 
 import (
-	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
-	"dcpsim/internal/packet"
-	"dcpsim/internal/sim"
-	"dcpsim/internal/stats"
 	"dcpsim/internal/transport/base"
-	"dcpsim/internal/units"
-	"dcpsim/internal/workload"
 )
 
-// Host is a timeout-only endpoint on one NIC.
-type Host struct {
-	base.Host
-	send map[uint64]*senderQP
-	recv map[uint64]*recvQP
-}
-
-// New builds a timeout-only endpoint.
+// New builds a timeout-only endpoint: the Go-Back-N sender on the short
+// RTO (its receiver never NAKs, so only the timer rewinds it) over the
+// order-tolerant cumulative receiver.
 func New(n *nic.NIC, env *base.Env) base.Transport {
-	return &Host{
-		Host: base.NewHost(n, env),
-		send: make(map[uint64]*senderQP),
-		recv: make(map[uint64]*recvQP),
-	}
-}
-
-// Name implements base.Transport.
-func (h *Host) Name() string { return "timeout" }
-
-// StartFlow implements base.Transport.
-func (h *Host) StartFlow(f *workload.Flow) {
-	qp := newSenderQP(h, f)
-	h.send[f.ID] = qp
-	h.AddQP(qp)
-}
-
-// Handle implements nic.Transport.
-func (h *Host) Handle(p *packet.Packet) {
-	switch p.Kind {
-	case packet.KindData:
-		h.recvData(p)
-	case packet.KindAck:
-		if qp := h.send[p.FlowID]; qp != nil {
-			qp.onAck(p)
-		}
-	case packet.KindCNP:
-		if qp := h.send[p.FlowID]; qp != nil && !qp.done {
-			qp.ctl.OnCongestion(h.Eng.Now())
-		}
-	}
-}
-
-// Dequeue implements nic.Transport.
-func (h *Host) Dequeue(now units.Time, dataPaused bool) *packet.Packet {
-	return h.Host.Dequeue(now, dataPaused)
-}
-
-type senderQP struct {
-	h    *Host
-	flow *workload.Flow
-	rec  *stats.FlowRecord
-	ctl  cc.Controller
-
-	totalPkts uint32
-	lastPay   int
-
-	una      uint32
-	nextPSN  uint32
-	firstTx  uint32
-	inflight int
-
-	timer *sim.Timer
-	done  bool
-}
-
-func newSenderQP(h *Host, f *workload.Flow) *senderQP {
-	env := h.Env
-	qp := &senderQP{h: h, flow: f}
-	qp.rec = env.Collector.Flow(f.ID)
-	if qp.rec == nil {
-		qp.rec = env.Collector.Add(f.ID, f.Src, f.Dst, f.Size, h.Eng.Now())
-	}
-	qp.ctl = env.CC(h.Eng, h.NIC.Rate(), env.BaseRTT)
-	qp.totalPkts = base.NumPackets(f.Size, env.MTU)
-	qp.lastPay = base.PayloadAt(f.Size, env.MTU, qp.totalPkts-1)
-	qp.timer = sim.NewTimer(h.Eng, qp.onTimeout)
-	qp.timer.Reset(env.RTOLow)
-	return qp
-}
-
-func (qp *senderQP) payloadAt(psn uint32) int {
-	if psn == qp.totalPkts-1 {
-		return qp.lastPay
-	}
-	return qp.h.Env.MTU
-}
-
-// Finished implements base.QP.
-func (qp *senderQP) Finished() bool { return qp.done }
-
-// Next implements base.QP.
-func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
-	if qp.done || base.SeqGEQ(qp.nextPSN, qp.totalPkts) {
-		return nil, 0
-	}
-	size := qp.payloadAt(qp.nextPSN)
-	ok, at := qp.ctl.CanSend(now, qp.inflight, size)
-	if !ok {
-		return nil, at
-	}
-	psn := qp.nextPSN
-	qp.nextPSN++
-	p := packet.DataPacket(qp.flow.ID, qp.flow.Src, qp.flow.Dst, psn, 0, size)
-	p.Tag = packet.TagNonDCP
-	p.MsgLen = qp.totalPkts
-	p.SentAt = now
-	if base.SeqLess(psn, qp.firstTx) {
-		p.Retransmitted = true
-		qp.rec.RetransPkts++
-	} else {
-		qp.firstTx = psn + 1
-		qp.rec.DataPkts++
-	}
-	qp.inflight += size
-	qp.ctl.OnSent(now, p.Size)
-	return p, 0
-}
-
-func (qp *senderQP) onAck(p *packet.Packet) {
-	if qp.done {
-		return
-	}
-	now := qp.h.Eng.Now()
-	if base.SeqLess(qp.una, p.EPSN) {
-		var acked int
-		for psn := qp.una; base.SeqLess(psn, p.EPSN); psn++ {
-			acked += qp.payloadAt(psn)
-		}
-		qp.una = p.EPSN
-		if base.SeqLess(qp.nextPSN, qp.una) {
-			qp.nextPSN = qp.una // a rewind raced this cumulative ACK
-		}
-		qp.inflight -= acked
-		if qp.inflight < 0 {
-			qp.inflight = 0
-		}
-		var rtt units.Time
-		if p.SentAt > 0 {
-			rtt = now - p.SentAt
-		}
-		qp.ctl.OnAck(now, acked, rtt)
-		qp.timer.Reset(qp.h.Env.RTOLow)
-		if base.SeqGEQ(qp.una, qp.totalPkts) {
-			qp.done = true
-			qp.timer.Stop()
-			qp.ctl.Close()
-			qp.h.Env.Collector.Done(qp.flow.ID, now)
-			return
-		}
-	}
-	qp.h.NIC.Kick()
-}
-
-func (qp *senderQP) onTimeout() {
-	if qp.done {
-		return
-	}
-	if base.SeqLess(qp.una, qp.nextPSN) {
-		qp.rec.Timeouts++
-		qp.nextPSN = qp.una
-		qp.inflight = 0
-		qp.h.NIC.Kick()
-	}
-	qp.timer.Reset(qp.h.Env.RTOLow)
-}
-
-type recvQP struct {
-	ePSN     uint32
-	received []uint64
-	total    uint32
-}
-
-func (h *Host) recvData(p *packet.Packet) {
-	qp := h.recv[p.FlowID]
-	if qp == nil {
-		qp = &recvQP{received: make([]uint64, (p.MsgLen+63)/64), total: p.MsgLen}
-		h.recv[p.FlowID] = qp
-	}
-	w, b := p.PSN/64, p.PSN%64
-	if qp.received[w]&(1<<b) == 0 {
-		qp.received[w] |= 1 << b
-		for base.SeqLess(qp.ePSN, qp.total) && qp.received[qp.ePSN/64]&(1<<(qp.ePSN%64)) != 0 {
-			qp.ePSN++
-		}
-	}
-	a := packet.AckPacket(p.FlowID, p.Dst, p.Src, qp.ePSN)
-	a.Tag = packet.TagNonDCP
-	a.SentAt = p.SentAt
-	h.QueueCtrl(a)
+	return base.NewEndpoint(n, env, base.Scheme{
+		Name:        "timeout",
+		NewSender:   func(q *base.SendQP) base.Sender { return base.NewGoBack(q, q.Env().RTOLow) },
+		NewReceiver: base.CumulativeReceiver(false),
+	})
 }
