@@ -81,9 +81,79 @@ func BenchmarkEngineEvents(b *testing.B) {
 			eng.After(units.Nanosecond, tick)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	eng.After(0, tick)
 	eng.Run(0)
+}
+
+// BenchmarkEngineDeepHeap measures schedule+dispatch with ~24k events
+// pending, the queue depth of the scheme matrix before timer re-arms
+// stopped leaving cancelled entries behind. Each dispatched event
+// schedules one more at a random offset, so the depth holds steady.
+func BenchmarkEngineDeepHeap(b *testing.B) {
+	const depth = 24_000
+	eng := sim.NewEngine(1)
+	rng := eng.Rand()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n == b.N {
+			eng.Stop()
+		}
+		eng.After(units.Time(rng.Intn(depth))*units.Nanosecond, tick)
+	}
+	for i := 0; i < depth; i++ {
+		eng.After(units.Time(rng.Intn(depth))*units.Nanosecond, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(0)
+}
+
+// BenchmarkEngineCancel measures scheduling an event, cancelling it and
+// discarding it from the queue head.
+func BenchmarkEngineCancel(b *testing.B) {
+	eng := sim.NewEngine(1)
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng.After(units.Time(i%64), fn).Cancel()
+		if i%64 == 63 {
+			eng.Run(0)
+		}
+	}
+	eng.Run(0)
+}
+
+// BenchmarkTimerReset measures an ACK clock that re-arms a retransmission
+// timer on every ACK, as the IRN and SDR senders do: one dispatched event
+// and one Timer.Reset per op, with the timeout 100 ACKs out.
+func BenchmarkTimerReset(b *testing.B) {
+	eng := sim.NewEngine(1)
+	const gap = 100 * units.Nanosecond
+	expired := 0
+	rto := sim.NewTimer(eng, func() { expired++ })
+	n := 0
+	var ack func()
+	ack = func() {
+		n++
+		if n == b.N {
+			rto.Stop()
+			return
+		}
+		rto.Reset(100 * gap)
+		eng.After(gap, ack)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.After(0, ack)
+	eng.Run(0)
+	if expired > 0 {
+		b.Fatal("timer expired under a steady ACK clock")
+	}
+	b.ReportMetric(float64(eng.MaxHeapDepth), "max-heap")
 }
 
 // BenchmarkWireDataRoundTrip measures DCP header encode+decode.

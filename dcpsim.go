@@ -228,9 +228,12 @@ type EngineStats struct {
 	// Events counts dispatched events.
 	Events uint64
 	// CancelledDrops counts cancelled events discarded from the queue head
-	// (scheduling churn the heap paid for without doing work).
+	// (scheduling churn the heap paid for without doing work). Re-arming
+	// an armed timer moves its queued event instead of cancelling it, so
+	// timer resets are not counted.
 	CancelledDrops uint64
-	// MaxHeapDepth is the event-queue high-water mark.
+	// MaxHeapDepth is the event-queue high-water mark, cancelled entries
+	// included. Timer resets reuse their entry and do not deepen it.
 	MaxHeapDepth int
 	// MaxLive is the high-water mark of pending not-cancelled events.
 	MaxLive int

@@ -29,6 +29,11 @@ type Wire struct {
 	src     *Port    // the port that transmits onto this wire
 	comp    sim.Comp // profiler attribution of delivery events at dst
 
+	// inflight holds the packets propagating on the wire, oldest first.
+	// The delay is fixed, so deliveries fire in the order they were
+	// scheduled and each delivery event takes the head.
+	inflight fifoQueue
+
 	// Fault-injection state (package faults drives these): an admin-down
 	// wire silently discards everything handed to it; lossRate models
 	// time-varying BER loss; burstDrop discards the next N packets (a
@@ -108,12 +113,21 @@ func (w *Wire) Deliver(p *packet.Packet) {
 		// duplicate. The original arrives first, the copy right behind it
 		// (same arrival time, FIFO event order).
 		cp := *p
-		w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(p, w.ingress) })
-		w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(&cp, w.ingress) })
+		w.send(p)
+		w.send(&cp)
 		return
 	}
-	w.eng.AfterComp(w.delay, w.comp, func() { w.dst.Receive(p, w.ingress) })
+	w.send(p)
 }
+
+// send puts p on the wire; it arrives at dst one delay from now.
+func (w *Wire) send(p *packet.Packet) {
+	w.inflight.push(p)
+	w.eng.AfterHandler(w.delay, w.comp, w)
+}
+
+// Fire implements sim.Handler: the oldest packet on the wire arrives.
+func (w *Wire) Fire() { w.dst.Receive(w.inflight.pop(), w.ingress) }
 
 // SetAdminDown takes the wire administratively down or up. While down,
 // every packet handed to the wire is silently discarded.
@@ -182,7 +196,7 @@ type Port struct {
 	sched Scheduler
 	comp  sim.Comp // profiler attribution of tx-completion events
 
-	busy        bool
+	inflight    *packet.Packet // the packet being serialized, nil when idle
 	dataPaused  bool
 	forcedPause bool // fault injection: held paused regardless of PFC
 
@@ -271,7 +285,7 @@ func (p *Port) pauseEdge(was bool) {
 
 // Kick attempts to start transmitting the next packet. Idempotent.
 func (p *Port) Kick() {
-	if p.busy {
+	if p.inflight != nil {
 		return
 	}
 	pkt := p.sched.Next(p.paused())
@@ -284,19 +298,24 @@ func (p *Port) Kick() {
 	if p.Tap != nil {
 		p.Tap(pkt)
 	}
-	p.busy = true
+	p.inflight = pkt
 	tx := units.TxTime(pkt.Size, p.rate)
 	p.TxBytes += int64(pkt.Size)
 	p.TxPackets++
-	p.eng.AfterComp(tx, p.comp, func() {
-		p.busy = false
-		p.wire.Deliver(pkt)
-		p.Kick()
-	})
+	p.eng.AfterHandler(tx, p.comp, p)
+}
+
+// Fire implements sim.Handler: the packet being serialized is fully on
+// the wire, so hand it over and start the next one.
+func (p *Port) Fire() {
+	pkt := p.inflight
+	p.inflight = nil
+	p.wire.Deliver(pkt)
+	p.Kick()
 }
 
 // Busy reports whether a packet is currently being serialized.
-func (p *Port) Busy() bool { return p.busy }
+func (p *Port) Busy() bool { return p.inflight != nil }
 
 // fifoQueue is a simple byte-counted FIFO of packets.
 type fifoQueue struct {
@@ -310,6 +329,11 @@ func (q *fifoQueue) push(p *packet.Packet) {
 	q.bytes += p.Size
 }
 
+// pop removes and returns the head packet, or nil if the queue is empty.
+// Once the popped prefix reaches half the slice the live packets move to
+// the front, so a queue that never drains reuses its slots instead of
+// growing with every packet it has ever held. Each move of n packets
+// follows at least n pops, so the copying is amortised O(1) per pop.
 func (q *fifoQueue) pop() *packet.Packet {
 	if q.head >= len(q.pkts) {
 		return nil
@@ -318,8 +342,10 @@ func (q *fifoQueue) pop() *packet.Packet {
 	q.pkts[q.head] = nil
 	q.head++
 	q.bytes -= p.Size
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
+	if live := len(q.pkts) - q.head; q.head >= live {
+		copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[q.head:])
+		q.pkts = q.pkts[:live]
 		q.head = 0
 	}
 	return p

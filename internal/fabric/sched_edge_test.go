@@ -131,3 +131,56 @@ func TestWRRWeightClamps(t *testing.T) {
 		t.Fatalf("feasible ratio clamped: %v", w)
 	}
 }
+
+// TestFIFOBoundedWhenNeverDrained: a queue that always holds a packet must
+// reuse its storage. Before pop compacted the popped prefix, a million
+// push/pop pairs left a slice of over a million entries.
+func TestFIFOBoundedWhenNeverDrained(t *testing.T) {
+	var q fifoQueue
+	pkts := [2]*packet.Packet{edgeCtrlPkt(), edgeCtrlPkt()}
+	q.push(pkts[0])
+	for i := 1; i <= 1_000_000; i++ {
+		q.push(pkts[i%2])
+		if got := q.pop(); got != pkts[(i-1)%2] {
+			t.Fatalf("pop %d out of order", i)
+		}
+	}
+	if q.len() != 1 || q.byteLen() != pkts[0].Size {
+		t.Fatalf("len %d bytes %d, want one packet", q.len(), q.byteLen())
+	}
+	if c := cap(q.pkts); c > 64 {
+		t.Fatalf("capacity %d after 1M push/pop pairs with one packet queued, want <= 64", c)
+	}
+}
+
+// TestFIFOCompactionKeepsOrder: compaction moves live packets to the front
+// without reordering or losing any, across a queue that grows and shrinks.
+func TestFIFOCompactionKeepsOrder(t *testing.T) {
+	var q fifoQueue
+	pkts := make([]*packet.Packet, 300)
+	for i := range pkts {
+		pkts[i] = edgeCtrlPkt()
+	}
+	in, out := 0, 0
+	for _, burst := range []int{5, 100, 3, 50, 1, 80, 60} {
+		for k := 0; k < burst && in < len(pkts); k++ {
+			q.push(pkts[in])
+			in++
+		}
+		for k := 0; k < burst*2/3 && !q.empty(); k++ {
+			if q.pop() != pkts[out] {
+				t.Fatalf("pop %d out of order", out)
+			}
+			out++
+		}
+	}
+	for !q.empty() {
+		if q.pop() != pkts[out] {
+			t.Fatalf("pop %d out of order", out)
+		}
+		out++
+	}
+	if out != in || q.pop() != nil {
+		t.Fatalf("popped %d of %d pushed", out, in)
+	}
+}

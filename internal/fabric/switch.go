@@ -204,7 +204,9 @@ func (s *Switch) AddIngress(w *Wire) int {
 	return len(s.ingress) - 1
 }
 
-// SetRoutes installs the destination → candidate egress table.
+// SetRoutes installs the destination → candidate egress table. The switch
+// only reads it, so destinations with the same next hops may share one
+// candidate slice.
 func (s *Switch) SetRoutes(routes [][]int) { s.routes = routes }
 
 // EgressAt returns egress port i.

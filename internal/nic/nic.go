@@ -32,7 +32,7 @@ type NIC struct {
 	port *fabric.Port
 	tr   Transport
 
-	kickEv *sim.Event
+	kickEv sim.Event // pending KickAt deadline
 	kickAt units.Time
 
 	// trace, when non-nil, sees data deliveries (EvDeliver). Nil-checked at
@@ -129,17 +129,18 @@ func (n *NIC) KickAt(t units.Time) {
 		n.Kick()
 		return
 	}
-	if n.kickEv != nil && !n.kickEv.Cancelled() && n.kickAt <= t {
+	if !n.kickEv.Cancelled() && n.kickAt <= t {
 		return
 	}
-	if n.kickEv != nil {
-		n.kickEv.Cancel()
-	}
+	n.kickEv.Cancel()
 	n.kickAt = t
-	n.kickEv = n.eng.AtComp(t, sim.CompNIC, func() {
-		n.kickEv = nil
-		n.Kick()
-	})
+	n.kickEv = n.eng.AtHandler(t, sim.CompNIC, n)
+}
+
+// Fire implements sim.Handler: a KickAt deadline arrived.
+func (n *NIC) Fire() {
+	n.kickEv = sim.Event{}
+	n.Kick()
 }
 
 // PCIe models the host interconnect between the RNIC and host memory with
@@ -183,8 +184,17 @@ type RetransQ struct {
 // round_quota).
 const BatchLimit = 16
 
-// Push appends an entry (the Rx-path DMA write).
+// Push appends an entry (the Rx-path DMA write). Once the fetched prefix
+// reaches half the slice the queued entries move to the front first, so a
+// queue that never drains reuses its slots instead of growing with every
+// entry it has ever held. Compacting here rather than in FetchBatch keeps
+// the last fetched batch valid until the next Push.
 func (q *RetransQ) Push(e RetransEntry) {
+	if live := len(q.entries) - q.head; q.head > 0 && q.head >= live {
+		copy(q.entries, q.entries[q.head:])
+		q.entries = q.entries[:live]
+		q.head = 0
+	}
 	q.entries = append(q.entries, e)
 	q.Pushed++
 }

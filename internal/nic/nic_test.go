@@ -159,3 +159,45 @@ func TestDefaultPCIe(t *testing.T) {
 		t.Fatal("the paper assumes ~1us PCIe RTT (footnote 9)")
 	}
 }
+
+// TestRetransQBoundedWhenNeverDrained: a queue that always holds an entry
+// must reuse its storage. Before Push compacted the fetched prefix, a
+// million push/fetch pairs left a slice of over a million entries.
+func TestRetransQBoundedWhenNeverDrained(t *testing.T) {
+	var q RetransQ
+	q.Push(RetransEntry{PSN: 0})
+	for i := 1; i <= 1_000_000; i++ {
+		q.Push(RetransEntry{PSN: uint32(i)})
+		b := q.FetchBatch(1)
+		if len(b) != 1 || b[0].PSN != uint32(i-1) {
+			t.Fatalf("fetch %d returned %v", i, b)
+		}
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", q.Len())
+	}
+	if c := cap(q.entries); c > 64 {
+		t.Fatalf("capacity %d after 1M push/fetch pairs with one entry queued, want <= 64", c)
+	}
+}
+
+// TestRetransQBatchValidUntilPush: the slice FetchBatch returns is intact
+// up to the next Push, and a Push that compacts the queue keeps its order.
+func TestRetransQBatchValidUntilPush(t *testing.T) {
+	var q RetransQ
+	for i := 0; i < 40; i++ {
+		q.Push(RetransEntry{PSN: uint32(i)})
+	}
+	q.FetchBatch(BatchLimit)
+	b := q.FetchBatch(BatchLimit) // PSNs 16..31; 8 entries left behind 32 fetched
+	for i, e := range b {
+		if e.PSN != uint32(16+i) {
+			t.Fatalf("batch[%d] = %d before the next Push", i, e.PSN)
+		}
+	}
+	q.Push(RetransEntry{PSN: 40})
+	got := q.FetchBatch(BatchLimit)
+	if len(got) != 9 || got[0].PSN != 32 || got[8].PSN != 40 {
+		t.Fatalf("after compaction fetched %v", got)
+	}
+}

@@ -64,12 +64,12 @@ func TestCancel(t *testing.T) {
 	if !ev.Cancelled() {
 		t.Fatal("Cancelled() should report true")
 	}
-	// Cancelling again (and cancelling nil) must be safe.
+	// Cancelling again (and cancelling the zero handle) must be safe.
 	ev.Cancel()
-	var nilEv *Event
-	nilEv.Cancel()
-	if !nilEv.Cancelled() {
-		t.Fatal("nil event must report cancelled")
+	var zero Event
+	zero.Cancel()
+	if !zero.Cancelled() {
+		t.Fatal("zero event must report cancelled")
 	}
 }
 

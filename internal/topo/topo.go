@@ -243,6 +243,8 @@ func Dumbbell(eng *sim.Engine, cfg DumbbellConfig) *Network {
 	rtt := 2*(2*cfg.HostDelay+maxCross) + 6*units.TxTime(packet.DefaultMTU+100, cfg.HostRate)
 	net := &Network{Eng: eng, Hosts: hosts, Switches: sws, BaseRTT: rtt, HostRate: cfg.HostRate}
 
+	// A switch only reads its route table, so every remote host shares one
+	// candidate slice: the cross links, in link order.
 	routes1 := make([][]int, total)
 	routes2 := make([][]int, total)
 	for side, sw := range sws {
@@ -251,6 +253,7 @@ func Dumbbell(eng *sim.Engine, cfg DumbbellConfig) *Network {
 		if side == 1 {
 			routes = routes2
 		}
+		cross := make([]int, 0, cfg.CrossLinks)
 		// Host-facing ports.
 		for i := 0; i < h; i++ {
 			hostIdx := side*h + i
@@ -278,9 +281,10 @@ func Dumbbell(eng *sim.Engine, cfg DumbbellConfig) *Network {
 			up := sw.AddEgress(rate, cw)
 			net.addLink(fmt.Sprintf("cross%d", i),
 				faults.LinkEnd{Wire: cw, Switch: sw, Egress: up})
-			for hostIdx := (1 - side) * h; hostIdx < (2-side)*h; hostIdx++ {
-				routes[hostIdx] = append(routes[hostIdx], up)
-			}
+			cross = append(cross, up)
+		}
+		for hostIdx := (1 - side) * h; hostIdx < (2-side)*h; hostIdx++ {
+			routes[hostIdx] = cross
 		}
 	}
 	s1.SetRoutes(routes1)
@@ -364,8 +368,10 @@ func Clos(eng *sim.Engine, cfg ClosConfig) *Network {
 			faults.LinkEnd{Wire: uw, Egress: -1},
 			faults.LinkEnd{Wire: dw, Switch: leaves[l], Egress: down})
 	}
-	// Leaf <-> spine links (full bipartite).
+	// Leaf <-> spine links (full bipartite). A switch only reads its route
+	// table, so hosts that share a next hop share one candidate slice.
 	for l, leaf := range leaves {
+		ups := make([]int, 0, cfg.Spines)
 		for s, spine := range spines {
 			uw := fabric.Attach(eng, cfg.SpineDelay, spine)
 			dw := fabric.Attach(eng, cfg.SpineDelay, leaf)
@@ -375,14 +381,16 @@ func Clos(eng *sim.Engine, cfg ClosConfig) *Network {
 				faults.LinkEnd{Wire: uw, Switch: leaf, Egress: up},
 				faults.LinkEnd{Wire: dw, Switch: spine, Egress: down})
 			// Every spine reaches hosts under leaf l through this down port.
+			toRack := []int{down}
 			for i := l * cfg.HostsPerLeaf; i < (l+1)*cfg.HostsPerLeaf; i++ {
-				spineRoutes[s][i] = []int{down}
+				spineRoutes[s][i] = toRack
 			}
-			// Leaf uses every uplink for hosts outside its rack.
-			for i := 0; i < nHosts; i++ {
-				if i/cfg.HostsPerLeaf != l {
-					leafRoutes[l][i] = append(leafRoutes[l][i], up)
-				}
+			ups = append(ups, up)
+		}
+		// Leaf uses every uplink for hosts outside its rack.
+		for i := range leafRoutes[l] {
+			if i/cfg.HostsPerLeaf != l {
+				leafRoutes[l][i] = ups
 			}
 		}
 	}
