@@ -8,6 +8,9 @@ import (
 	"dcpsim/internal/units"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 // collector gathers delivered packets.
 type collector struct {
 	pkts []*packet.Packet
@@ -23,7 +26,7 @@ func (c *collector) Receive(p *packet.Packet, _ int) {
 func (c *collector) AddIngress(w *Wire) int { return 0 }
 
 func dataPkt(size int) *packet.Packet {
-	p := packet.DataPacket(1, 0, 1, 0, 0, size-packet.DataHeaderSize-packet.RETHSize)
+	p := testPkts.Data(1, 0, 1, 0, 0, size-packet.DataHeaderSize-packet.RETHSize)
 	return p
 }
 
@@ -92,7 +95,7 @@ func TestFIFOPauseHoldsDataPassesControl(t *testing.T) {
 	if got := s.Next(false); got != d {
 		t.Fatal("unpaused FIFO serves data")
 	}
-	ack := packet.AckPacket(1, 0, 1, 0)
+	ack := testPkts.Ack(1, 0, 1, 0)
 	s.Enqueue(ack)
 	if got := s.Next(true); got != ack {
 		t.Fatal("control at head passes under pause")
@@ -173,7 +176,7 @@ func TestDRRPauseServesControlOnly(t *testing.T) {
 func TestPrioSchedulerStrictPriority(t *testing.T) {
 	s := &prioScheduler{}
 	s.pushData(dataPkt(1000))
-	s.pushCtrl(packet.AckPacket(1, 0, 1, 0))
+	s.pushCtrl(testPkts.Ack(1, 0, 1, 0))
 	if p := s.Next(false); p.Kind != packet.KindAck {
 		t.Fatal("control first")
 	}
@@ -339,7 +342,7 @@ func TestSwitchAckDroppedOverThreshold(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		inject(dataPkt(1073))
 	}
-	inject(packet.AckPacket(1, 0, 1, 5))
+	inject(testPkts.Ack(1, 0, 1, 5))
 	eng.Run(0)
 	if sw.Counters.DroppedAck != 1 {
 		t.Fatalf("ACK over threshold must drop (§4.2), got %d", sw.Counters.DroppedAck)

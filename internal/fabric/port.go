@@ -392,15 +392,3 @@ func (s *FIFOScheduler) Backlog() int { return s.q.byteLen() }
 
 // Len returns queued packets.
 func (s *FIFOScheduler) Len() int { return s.q.len() }
-
-// PullScheduler adapts a pull function (a NIC asking its transport for the
-// next packet) to the Scheduler interface.
-type PullScheduler struct {
-	Pull func(dataPaused bool) *packet.Packet
-}
-
-// Next implements Scheduler.
-func (s *PullScheduler) Next(dataPaused bool) *packet.Packet { return s.Pull(dataPaused) }
-
-// Backlog implements Scheduler; pull sources have no local queue.
-func (s *PullScheduler) Backlog() int { return 0 }

@@ -9,7 +9,7 @@ import (
 // dataPkt is shared with fabric_test.go.
 
 func edgeCtrlPkt() *packet.Packet {
-	p := packet.DataPacket(1, 0, 1, 0, 0, 0)
+	p := testPkts.Data(1, 0, 1, 0, 0, 0)
 	p.Trim()
 	return p
 }

@@ -12,6 +12,9 @@ import (
 	"dcpsim/internal/units"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 func tinyNet(eng *sim.Engine) *topo.Network {
 	cfg := topo.DefaultDumbbell()
 	cfg.HostsPerSwitch = 1
@@ -74,7 +77,7 @@ func TestAdminDownDropsSilently(t *testing.T) {
 	if !w.AdminDown() {
 		t.Fatal("AdminDown not set")
 	}
-	p := packet.DataPacket(1, 0, 1, 0, 0, 1000)
+	p := testPkts.Data(1, 0, 1, 0, 0, 1000)
 	w.Deliver(p)
 	if w.FaultDrops != 1 || w.Delivered != 0 {
 		t.Fatalf("FaultDrops=%d Delivered=%d, want 1/0", w.FaultDrops, w.Delivered)
@@ -90,7 +93,7 @@ func TestBurstAndLossRateDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := tinyNet(eng)
 	w := net.LinkEnds("cross0")[0].Wire
-	p := packet.DataPacket(1, 0, 1, 0, 0, 1000)
+	p := testPkts.Data(1, 0, 1, 0, 0, 1000)
 	w.InjectBurst(3)
 	for i := 0; i < 5; i++ {
 		w.Deliver(p)
@@ -141,7 +144,7 @@ func TestInjectorAppliesEvents(t *testing.T) {
 		t.Fatal("switch 0 not blacked out mid-fault")
 	}
 	// A packet arriving at a blacked-out switch vanishes.
-	net.Switches[0].Receive(packet.DataPacket(1, 0, 1, 0, 0, 1000), 0)
+	net.Switches[0].Receive(testPkts.Data(1, 0, 1, 0, 0, 1000), 0)
 	if net.Switches[0].Counters.BlackoutDrops != 1 {
 		t.Fatalf("BlackoutDrops=%d, want 1", net.Switches[0].Counters.BlackoutDrops)
 	}

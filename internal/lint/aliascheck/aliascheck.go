@@ -8,6 +8,10 @@
 // or hands the same pointer out a second time — silently corrupts
 // in-flight state. The canonical ordering is mutate-then-enqueue.
 //
+// Release (packet.FreeList.Release) ends a packet's life: the list hands
+// the same packet to its next draw, so after a release every mention of
+// the packet is flagged, field reads included.
+//
 // The check is intraprocedural and deliberately conservative: after an
 // unconditional handoff statement, any later statement in the same block
 // (or nested blocks) that writes a field of the packet, calls a method on
@@ -27,7 +31,7 @@ import (
 // Analyzer is the aliascheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "aliascheck",
-	Doc:  "flag use of a *packet.Packet after it has been handed to the fabric (Enqueue/Deliver/Inject/QueueCtrl/...)",
+	Doc:  "flag use of a *packet.Packet after it has been handed to the fabric (Enqueue/Deliver/Inject/QueueCtrl/...) or released to its free list",
 	Run:  run,
 }
 
@@ -37,7 +41,11 @@ const packetPath = "dcpsim/internal/packet"
 var handoffNames = map[string]bool{
 	"Enqueue": true, "Deliver": true, "Inject": true, "QueueCtrl": true,
 	"Receive": true, "Handle": true, "pushData": true, "pushCtrl": true,
+	releaseName: true,
 }
+
+// releaseName is the handoff that returns a packet to its free list.
+const releaseName = "Release"
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
@@ -108,6 +116,9 @@ func handoff(pass *lint.Pass, s ast.Stmt) (string, []types.Object) {
 
 // checkUse flags order-violating uses of hot packets within stmt.
 func checkUse(pass *lint.Pass, stmt ast.Stmt, hot map[types.Object]string) {
+	if checkReleased(pass, stmt, hot) {
+		return
+	}
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -153,6 +164,38 @@ func checkUse(pass *lint.Pass, stmt ast.Stmt, hot map[types.Object]string) {
 		}
 		return true
 	})
+}
+
+// checkReleased flags every mention in stmt of a packet released earlier
+// in the block and reports whether it found one. Assigning the variable
+// itself is not a mention: it retires the released packet.
+func checkReleased(pass *lint.Pass, stmt ast.Stmt, hot map[types.Object]string) bool {
+	found := false
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, rhs := range n.Rhs {
+				ast.Inspect(rhs, visit)
+			}
+			for _, lhs := range n.Lhs {
+				if id, bare := lhs.(*ast.Ident); !bare {
+					ast.Inspect(lhs, visit)
+				} else if obj := pass.Info.Uses[id]; obj != nil && hot[obj] == releaseName {
+					delete(hot, obj)
+				}
+			}
+			return false
+		case *ast.Ident:
+			if obj := pass.Info.Uses[n]; obj != nil && hot[obj] == releaseName {
+				pass.Reportf(n.Pos(), "uses %s after it was released; its free list hands it to the next draw", obj.Name())
+				found = true
+			}
+		}
+		return true
+	}
+	ast.Inspect(stmt, visit)
+	return found
 }
 
 // checkEscape flags a bare hot packet identifier escaping through an

@@ -1,5 +1,6 @@
 // Package aliasfix is an aliascheck fixture: once a *packet.Packet is
-// handed to the fabric, the caller must stop touching it.
+// handed to the fabric, the caller must stop touching it, and once it is
+// released to its free list, the caller must not mention it at all.
 package aliasfix
 
 import "dcpsim/internal/packet"
@@ -55,4 +56,32 @@ func allowedLoopback(q *queue, p *packet.Packet) {
 	q.Enqueue(p)
 	//lint:allow aliascheck loopback path re-stamps the packet before the engine runs
 	p.ECN = true
+}
+
+func readAfterRelease(l *packet.FreeList, p *packet.Packet) uint32 {
+	l.Release(p)
+	return p.PSN // want `uses p after it was released`
+}
+
+func mutateAfterRelease(l *packet.FreeList, p *packet.Packet) {
+	l.Release(p)
+	p.ECN = true // want `uses p after it was released`
+}
+
+func releaseTwice(l *packet.FreeList, p *packet.Packet) {
+	l.Release(p)
+	l.Release(p) // want `uses p after it was released`
+}
+
+func readThenRelease(l *packet.FreeList, p *packet.Packet) uint32 {
+	psn := p.PSN // copy what outlives the packet first
+	l.Release(p)
+	return psn
+}
+
+func drawAfterRelease(l *packet.FreeList, p *packet.Packet) *packet.Packet {
+	l.Release(p)
+	p = l.Ack(p.FlowID, 0, 1, 0) // want `uses p after it was released`
+	p.EPSN = 2                   // p now names the freshly drawn packet
+	return p
 }

@@ -70,10 +70,11 @@ func (n *NIC) SetTransport(t Transport) { n.tr = t }
 func (n *NIC) Transport() Transport { return n.tr }
 
 // SetUplink attaches the NIC's egress onto wire (created with
-// fabric.Attach toward the first-hop switch or peer NIC).
+// fabric.Attach toward the first-hop switch or peer NIC). The NIC is its
+// own port's scheduler: each free transmit slot pulls from the transport.
 func (n *NIC) SetUplink(w *fabric.Wire) {
-	n.port = fabric.NewPort(n.eng, n.rate, w, &fabric.PullScheduler{Pull: n.pull})
-	// The egress tx-completion closure pulls the next packet from the
+	n.port = fabric.NewPort(n.eng, n.rate, w, n)
+	// The egress tx-completion event pulls the next packet from the
 	// transport — host work, so the profiler books it to the NIC.
 	n.port.SetComp(sim.CompNIC)
 }
@@ -81,12 +82,18 @@ func (n *NIC) SetUplink(w *fabric.Wire) {
 // Port returns the egress port (nil before SetUplink).
 func (n *NIC) Port() *fabric.Port { return n.port }
 
-func (n *NIC) pull(dataPaused bool) *packet.Packet {
+// Next implements fabric.Scheduler: the egress port asks the transport for
+// the next packet to serialize.
+func (n *NIC) Next(dataPaused bool) *packet.Packet {
 	if n.tr == nil {
 		return nil
 	}
 	return n.tr.Dequeue(n.eng.Now(), dataPaused)
 }
+
+// Backlog implements fabric.Scheduler. The NIC queues nothing itself: the
+// transport holds its packets until the port pulls them.
+func (n *NIC) Backlog() int { return 0 }
 
 // AddIngress implements fabric.IngressNode; NICs do not track arriving
 // wires, but retag them so delivery events (Receive → transport Handle)

@@ -9,6 +9,9 @@ import (
 	"dcpsim/internal/units"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 // stubTransport is a scripted transport.
 type stubTransport struct {
 	out      []*packet.Packet
@@ -40,7 +43,7 @@ func TestNICTransmitsFromTransport(t *testing.T) {
 	tr := &stubTransport{}
 	n.SetTransport(tr)
 	for i := 0; i < 5; i++ {
-		tr.out = append(tr.out, packet.DataPacket(1, 0, 1, uint32(i), 0, 1000))
+		tr.out = append(tr.out, testPkts.Data(1, 0, 1, uint32(i), 0, 1000))
 	}
 	n.Kick()
 	eng.Run(0)
@@ -57,7 +60,7 @@ func TestNICReceiveForwardsToTransport(t *testing.T) {
 	n := New(eng, 0, 100*units.Gbps)
 	tr := &stubTransport{}
 	n.SetTransport(tr)
-	p := packet.DataPacket(1, 1, 0, 0, 0, 100)
+	p := testPkts.Data(1, 1, 0, 0, 0, 100)
 	n.Receive(p, 0)
 	if len(tr.handled) != 1 || tr.handled[0] != p {
 		t.Fatal("packet not handed to transport")
@@ -97,7 +100,7 @@ func TestKickAtPastKicksNow(t *testing.T) {
 	n := New(eng, 0, 100*units.Gbps)
 	sink := &sinkNode{}
 	n.SetUplink(fabric.Attach(eng, 0, sink))
-	tr := &stubTransport{out: []*packet.Packet{packet.DataPacket(1, 0, 1, 0, 0, 10)}}
+	tr := &stubTransport{out: []*packet.Packet{testPkts.Data(1, 0, 1, 0, 0, 10)}}
 	n.SetTransport(tr)
 	n.KickAt(0) // not in the future: immediate
 	if len(tr.out) != 0 {

@@ -3,7 +3,8 @@
 // by every modeled transport (DCP, GBN, IRN, MP-RDMA, RACK-TLP, TCP-like),
 // mirroring the extended RDMA header of the paper's Fig. 4. The on-the-wire
 // binary layout of the DCP headers lives in package wire; simulation code
-// works with this struct directly.
+// works with this struct directly, and draws every packet it sends from a
+// FreeList.
 package packet
 
 import (
@@ -20,12 +21,10 @@ type Kind uint8
 
 // Packet kinds.
 const (
-	KindData   Kind = iota // payload-carrying data packet
-	KindHO                 // header-only packet produced by trimming (or echoed)
-	KindAck                // transport acknowledgment (ACK/SACK/NAK)
-	KindCNP                // DCQCN congestion notification packet
-	KindPause              // PFC PAUSE frame
-	KindResume             // PFC RESUME frame
+	KindData Kind = iota // payload-carrying data packet
+	KindHO               // header-only packet produced by trimming (or echoed)
+	KindAck              // transport acknowledgment (ACK/SACK/NAK)
+	KindCNP              // DCQCN congestion notification packet
 )
 
 func (k Kind) String() string {
@@ -38,10 +37,6 @@ func (k Kind) String() string {
 		return "ACK"
 	case KindCNP:
 		return "CNP"
-	case KindPause:
-		return "PAUSE"
-	case KindResume:
-		return "RESUME"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -86,24 +81,31 @@ const (
 
 // Header and MTU sizes in bytes. DataHeaderSize follows Fig. 4: Ethernet(14)
 // + IP(20) + UDP(8) + BTH(12) + MSN(3) = 57 bytes, which is exactly the HO
-// packet size; RETH/SSN extensions ride in the remaining header bytes of the
+// packet size; the RETH extension rides in the remaining header bytes of the
 // paper's full data-packet header.
 const (
 	DataHeaderSize = 57
 	RETHSize       = 16
-	SSNSize        = 3
 	AckSize        = 60 // Eth+IP+UDP+BTH+AETH(+eMSN)
 	HOSize         = DataHeaderSize
 	CNPSize        = 57
-	PauseSize      = 64
 	DefaultMTU     = 1000 // payload bytes per packet, as in the paper (1KB MTU)
 )
 
 // Packet is one simulated packet. Fields irrelevant to a given transport are
 // left zero. Packets are never shared between flows; switches may mutate
 // them (trimming, ECN marking).
+//
+// A packet lives for one trip. A sender draws it from its simulation's
+// FreeList (the builders Data, Ack and CNP reset every field) and hands it
+// to the NIC; from then on the fabric owns it. The transport endpoint that
+// receives it releases it back to the list once the packet's final
+// consumer has returned, except a trimmed header it bounces, which travels
+// on to the sender and is released there. A consumer may therefore use a
+// packet only during the call that hands it over, never keep it. Packets
+// the fabric drops (switch loss and overflow, wire faults, blackouts) are
+// never released; the garbage collector takes them.
 type Packet struct {
-	ID   uint64 // unique per engine run, for tracing
 	Kind Kind
 	Tag  Tag
 
@@ -120,7 +122,6 @@ type Packet struct {
 	// RDMA sequencing (Fig. 4 extensions).
 	PSN      uint32 // packet sequence number within the QP
 	MSN      uint32 // message sequence number (posting order in the SQ)
-	SSN      uint32 // send sequence number, two-sided ops
 	SRetryNo uint8  // sender retry epoch for the MSN-th message (§4.5)
 	EMSN     uint32 // expected MSN carried by DCP ACKs
 	EPSN     uint32 // cumulative PSN carried by ACK/SACK/NAK
@@ -166,8 +167,8 @@ type Packet struct {
 	// Hops counts switch traversals, for sanity checks and tracing.
 	Hops uint8
 
-	// PauseOn indicates pause state for KindPause/KindResume frames.
-	PauseOn bool
+	// released marks a packet sitting on a FreeList.
+	released bool
 
 	// BufIngress is fabric-internal: while the packet sits in a switch
 	// buffer it records the ingress port the packet arrived on, for PFC
@@ -176,7 +177,7 @@ type Packet struct {
 }
 
 // IsControl reports whether the packet belongs to the fabric's control
-// plane: HO packets travel in the control queue; PFC frames bypass queues.
+// plane: HO packets travel in the control queue.
 func (p *Packet) IsControl() bool { return p.Kind == KindHO }
 
 // Trim converts a DCP data packet into a header-only packet in place,
@@ -203,11 +204,47 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%s flow=%d %d->%d psn=%d msn=%d size=%d", p.Kind, p.FlowID, p.Src, p.Dst, p.PSN, p.MSN, p.Size)
 }
 
-// DataPacket builds a payload-carrying packet with the DCP-style header
-// size: 57-byte base header plus RETH (always present for order-tolerant
+// Released reports whether p has been released to a FreeList and not
+// drawn again.
+func (p *Packet) Released() bool { return p.released }
+
+// FreeList recycles the packets of one simulation. Its zero value is an
+// empty list ready to use. The builders reuse the most recently released
+// packet and allocate only when the list is empty, so a steady-state
+// simulation builds its packets without allocating. A FreeList belongs to
+// one simulation and, like the engine, to one goroutine.
+type FreeList struct {
+	free []*Packet
+}
+
+// take returns a packet for a builder to overwrite in full.
+func (l *FreeList) take() *Packet {
+	n := len(l.free)
+	if n == 0 {
+		return new(Packet)
+	}
+	p := l.free[n-1]
+	l.free = l.free[:n-1]
+	return p
+}
+
+// Release gives p back to the list. Only the packet's final consumer may
+// release it, once nothing refers to it any more. Releasing a packet that
+// is already on a list panics.
+func (l *FreeList) Release(p *Packet) {
+	if p.released {
+		panic(fmt.Sprintf("packet: %v released twice", p))
+	}
+	p.released = true
+	l.free = append(l.free, p)
+}
+
+// Data draws a payload-carrying packet with the DCP-style header size:
+// 57-byte base header plus RETH (always present for order-tolerant
 // one-sided reception) plus payload.
-func DataPacket(flow uint64, src, dst NodeID, psn, msn uint32, payload int) *Packet {
-	return &Packet{
+func (l *FreeList) Data(flow uint64, src, dst NodeID, psn, msn uint32, payload int) *Packet {
+	p := l.take()
+	*p = Packet{
 		Kind:         KindData,
 		Tag:          TagData,
 		FlowID:       flow,
@@ -218,11 +255,13 @@ func DataPacket(flow uint64, src, dst NodeID, psn, msn uint32, payload int) *Pac
 		Size:         DataHeaderSize + RETHSize + payload,
 		PayloadBytes: payload,
 	}
+	return p
 }
 
-// AckPacket builds a cumulative acknowledgment.
-func AckPacket(flow uint64, src, dst NodeID, epsn uint32) *Packet {
-	return &Packet{
+// Ack draws a cumulative acknowledgment.
+func (l *FreeList) Ack(flow uint64, src, dst NodeID, epsn uint32) *Packet {
+	p := l.take()
+	*p = Packet{
 		Kind:   KindAck,
 		Tag:    TagAck,
 		FlowID: flow,
@@ -232,4 +271,19 @@ func AckPacket(flow uint64, src, dst NodeID, epsn uint32) *Packet {
 		Size:   AckSize,
 		Ack:    AckCumulative,
 	}
+	return p
+}
+
+// CNP draws a DCQCN congestion notification.
+func (l *FreeList) CNP(flow uint64, src, dst NodeID) *Packet {
+	p := l.take()
+	*p = Packet{
+		Kind:   KindCNP,
+		Tag:    TagAck,
+		FlowID: flow,
+		Src:    src,
+		Dst:    dst,
+		Size:   CNPSize,
+	}
+	return p
 }

@@ -1,9 +1,15 @@
 package packet
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// testPkts builds the packets these tests inspect.
+var testPkts FreeList
 
 func TestDataPacketSizes(t *testing.T) {
-	p := DataPacket(1, 2, 3, 10, 1, 1000)
+	p := testPkts.Data(1, 2, 3, 10, 1, 1000)
 	if p.Size != DataHeaderSize+RETHSize+1000 {
 		t.Fatalf("size = %d", p.Size)
 	}
@@ -16,7 +22,7 @@ func TestDataPacketSizes(t *testing.T) {
 }
 
 func TestTrimMatchesPaperHOSize(t *testing.T) {
-	p := DataPacket(1, 2, 3, 10, 1, 1000)
+	p := testPkts.Data(1, 2, 3, 10, 1, 1000)
 	p.Trim()
 	if p.Size != 57 {
 		t.Fatalf("HO packet must be 57 bytes (footnote 6), got %d", p.Size)
@@ -34,7 +40,7 @@ func TestTrimMatchesPaperHOSize(t *testing.T) {
 }
 
 func TestBounceSwapsEndpoints(t *testing.T) {
-	p := DataPacket(1, 2, 3, 10, 1, 1000)
+	p := testPkts.Data(1, 2, 3, 10, 1, 1000)
 	p.SrcQP, p.DstQP = 100, 200
 	p.Hops = 3
 	p.Trim()
@@ -54,14 +60,14 @@ func TestBounceSwapsEndpoints(t *testing.T) {
 }
 
 func TestAckPacket(t *testing.T) {
-	a := AckPacket(7, 3, 2, 55)
+	a := testPkts.Ack(7, 3, 2, 55)
 	if a.Kind != KindAck || a.Tag != TagAck || a.EPSN != 55 || a.Size != AckSize {
 		t.Fatalf("bad ack: %+v", a)
 	}
 }
 
 func TestIsControl(t *testing.T) {
-	d := DataPacket(1, 2, 3, 0, 0, 100)
+	d := testPkts.Data(1, 2, 3, 0, 0, 100)
 	if d.IsControl() {
 		t.Fatal("data is not control")
 	}
@@ -78,10 +84,50 @@ func TestKindAndTagStrings(t *testing.T) {
 	if TagHO.String() != "dcp-ho" || TagNonDCP.String() != "non-dcp" || Tag(9).String() == "" {
 		t.Fatal("tag strings")
 	}
-	p := DataPacket(1, 2, 3, 4, 5, 6)
+	p := testPkts.Data(1, 2, 3, 4, 5, 6)
 	if p.String() == "" {
 		t.Fatal("packet String empty")
 	}
+}
+
+// TestFreeListReuse: a builder takes the most recently released packet and
+// resets every field of it.
+func TestFreeListReuse(t *testing.T) {
+	var l FreeList
+	d := l.Data(1, 2, 3, 10, 1, 1000)
+	d.SackBlob = []byte{1, 2}
+	d.ECN, d.Echoed, d.Hops, d.BufIngress = true, true, 3, 5
+	d.Trim()
+	l.Release(d)
+	if !d.Released() {
+		t.Fatal("release must mark the packet")
+	}
+	a := l.Ack(7, 3, 2, 55)
+	if a != d {
+		t.Fatal("the builder must reuse the released packet")
+	}
+	want := Packet{Kind: KindAck, Tag: TagAck, FlowID: 7, Src: 3, Dst: 2, EPSN: 55, Size: AckSize}
+	if !reflect.DeepEqual(*a, want) {
+		t.Fatalf("reused packet = %+v, want %+v", *a, want)
+	}
+	if c := l.CNP(7, 3, 2); c == a || c.Kind != KindCNP || c.Size != CNPSize {
+		t.Fatalf("an empty list must allocate a fresh packet: %+v", *c)
+	}
+}
+
+func TestReleaseTwicePanics(t *testing.T) {
+	var l FreeList
+	p := l.Data(1, 2, 3, 10, 1, 1000)
+	l.Release(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a packet twice must panic")
+		}
+		if l.Data(1, 2, 3, 0, 0, 0) != p || l.Data(1, 2, 3, 0, 0, 0) == p {
+			t.Fatal("a refused second release must leave the packet on the list once")
+		}
+	}()
+	l.Release(p)
 }
 
 func TestDCPTagValues(t *testing.T) {

@@ -10,6 +10,9 @@ import (
 	"dcpsim/internal/wire"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 // readAll parses the writer's output back with a minimal pcap reader.
 func readAll(t *testing.T, buf []byte) [][]byte {
 	t.Helper()
@@ -49,15 +52,15 @@ func TestWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := packet.DataPacket(7, 1, 2, 100, 3, 64)
+	data := testPkts.Data(7, 1, 2, 100, 3, 64)
 	data.SRetryNo = 2
 	w.Record(data, 5*units.Microsecond)
 
-	ho := packet.DataPacket(7, 1, 2, 101, 3, 1000)
+	ho := testPkts.Data(7, 1, 2, 101, 3, 1000)
 	ho.Trim()
 	w.Record(ho, 6*units.Microsecond)
 
-	ack := packet.AckPacket(7, 2, 1, 55)
+	ack := testPkts.Ack(7, 2, 1, 55)
 	ack.EMSN = 4
 	w.Record(ack, 7*units.Microsecond)
 
@@ -106,7 +109,7 @@ func TestWriterRoundTrip(t *testing.T) {
 func TestSnapLenTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
-	big := packet.DataPacket(1, 1, 2, 0, 0, 1000) // 1073-byte frame
+	big := testPkts.Data(1, 1, 2, 0, 0, 1000) // 1073-byte frame
 	w.Record(big, 0)
 	frames := readAll(t, buf.Bytes())
 	if len(frames[0]) != SnapLen {
@@ -118,7 +121,7 @@ func TestAddrDerivation(t *testing.T) {
 	if addrFor(0x0102) != [4]byte{10, 0, 1, 2} {
 		t.Fatal("addr mapping")
 	}
-	p := packet.DataPacket(5, 3, 4, 0, 0, 10)
+	p := testPkts.Data(5, 3, 4, 0, 0, 10)
 	e := Encode(p)
 	d, err := wire.UnmarshalDataPacket(e)
 	if err != nil {
@@ -130,20 +133,20 @@ func TestAddrDerivation(t *testing.T) {
 }
 
 func TestStableSrcPortPerFlow(t *testing.T) {
-	a := packet.DataPacket(42, 0, 1, 0, 0, 10)
-	b := packet.DataPacket(42, 0, 1, 9, 0, 10)
+	a := testPkts.Data(42, 0, 1, 0, 0, 10)
+	b := testPkts.Data(42, 0, 1, 9, 0, 10)
 	pa, _ := wire.UnmarshalDataPacket(Encode(a))
 	pb, _ := wire.UnmarshalDataPacket(Encode(b))
 	if pa.UDP.SrcPort != pb.UDP.SrcPort {
 		t.Fatal("same flow must keep its UDP source port")
 	}
-	c := packet.DataPacket(43, 0, 1, 0, 0, 10)
+	c := testPkts.Data(43, 0, 1, 0, 0, 10)
 	pc, _ := wire.UnmarshalDataPacket(Encode(c))
 	if pc.UDP.SrcPort == pa.UDP.SrcPort {
 		t.Fatal("different flows should (almost surely) differ")
 	}
 	// MP-RDMA virtual paths change the entropy.
-	d := packet.DataPacket(42, 0, 1, 0, 0, 10)
+	d := testPkts.Data(42, 0, 1, 0, 0, 10)
 	d.PathKey = 3
 	pd, _ := wire.UnmarshalDataPacket(Encode(d))
 	if pd.UDP.SrcPort == pa.UDP.SrcPort {

@@ -9,6 +9,9 @@ import (
 	"dcpsim/internal/units"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 // pingTransport emits one scripted packet per destination and records
 // arrivals.
 type pingTransport struct {
@@ -50,7 +53,7 @@ func runFullMesh(t *testing.T, net *Network, trs []*pingTransport) {
 			if i == j {
 				continue
 			}
-			p := packet.DataPacket(uint64(i*1000+j), net.Hosts[i].ID(), net.Hosts[j].ID(), 0, 0, 100)
+			p := testPkts.Data(uint64(i*1000+j), net.Hosts[i].ID(), net.Hosts[j].ID(), 0, 0, 100)
 			tr.out = append(tr.out, p)
 		}
 		net.Hosts[i].Kick()
@@ -158,7 +161,7 @@ func TestClosIntraRackStaysLocal(t *testing.T) {
 	net := Clos(eng, cfg)
 	tr := installPings(net)
 	// Host 0 -> host 1 share leaf 0: one switch hop only.
-	p := packet.DataPacket(1, net.Hosts[0].ID(), net.Hosts[1].ID(), 0, 0, 100)
+	p := testPkts.Data(1, net.Hosts[0].ID(), net.Hosts[1].ID(), 0, 0, 100)
 	tr[0].out = append(tr[0].out, p)
 	net.Hosts[0].Kick()
 	eng.Run(0)
@@ -176,7 +179,7 @@ func TestClosCrossRackHops(t *testing.T) {
 	cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = 4, 4, 4
 	net := Clos(eng, cfg)
 	tr := installPings(net)
-	p := packet.DataPacket(1, net.Hosts[0].ID(), net.Hosts[5].ID(), 0, 0, 100)
+	p := testPkts.Data(1, net.Hosts[0].ID(), net.Hosts[5].ID(), 0, 0, 100)
 	tr[0].out = append(tr[0].out, p)
 	net.Hosts[0].Kick()
 	eng.Run(0)

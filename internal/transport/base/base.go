@@ -54,6 +54,10 @@ type Env struct {
 	// (nil = off). Transports register per-flow gauges (in-flight bytes,
 	// RetransQ depth, CC rate) against it at flow start.
 	Metrics *obs.Metrics
+	// Packets is the simulation's packet free list: every endpoint draws
+	// the packets it sends from it, and Endpoint.dispatch releases each
+	// arrival back once its consumer has returned. It starts empty.
+	Packets packet.FreeList
 	// Scheme-specific knobs.
 	DCP DCPOptions
 	MP  MPOptions
@@ -162,22 +166,13 @@ type QP interface {
 // QueueCtrl enqueues a control-plane packet (ACK, CNP, bounced HO) for
 // strict-priority transmission and kicks the NIC.
 func (h *Endpoint) QueueCtrl(p *packet.Packet) {
-	h.ctrl = append(h.ctrl, p)
+	h.ctrl.Push(p)
 	h.NIC.Kick()
 }
 
 // PopCtrl removes the next control packet, or nil.
 func (h *Endpoint) PopCtrl() *packet.Packet {
-	if h.head >= len(h.ctrl) {
-		return nil
-	}
-	p := h.ctrl[h.head]
-	h.ctrl[h.head] = nil
-	h.head++
-	if h.head == len(h.ctrl) {
-		h.ctrl = h.ctrl[:0]
-		h.head = 0
-	}
+	p, _ := h.ctrl.Pop()
 	return p
 }
 

@@ -14,6 +14,9 @@ import (
 	"dcpsim/internal/workload"
 )
 
+// testPkts builds the packets these tests inject; nothing releases into it.
+var testPkts packet.FreeList
+
 func TestNumPackets(t *testing.T) {
 	cases := []struct {
 		size int64
@@ -138,10 +141,10 @@ func newEndpoint(eng *sim.Engine, s Scheme) *Endpoint {
 func TestCtrlQueueFIFOAndPriority(t *testing.T) {
 	eng := sim.NewEngine(1)
 	h := newHost(eng)
-	data := packet.DataPacket(1, 0, 1, 0, 0, 100)
+	data := testPkts.Data(1, 0, 1, 0, 0, 100)
 	h.AddQP(&scriptedQP{pkts: []*packet.Packet{data}})
-	a1 := packet.AckPacket(1, 0, 1, 1)
-	a2 := packet.AckPacket(1, 0, 1, 2)
+	a1 := testPkts.Ack(1, 0, 1, 1)
+	a2 := testPkts.Ack(1, 0, 1, 2)
 	h.QueueCtrl(a1)
 	h.QueueCtrl(a2)
 	if got := h.Dequeue(0, false); got != a1 {
@@ -155,11 +158,40 @@ func TestCtrlQueueFIFOAndPriority(t *testing.T) {
 	}
 }
 
+// TestQueueBoundedWhenNeverDrained: a FIFO that always holds a few items
+// (the control queue under steady ACK traffic, NDP's pull rotation) keeps
+// its order and reuses its slots instead of growing with every push.
+func TestQueueBoundedWhenNeverDrained(t *testing.T) {
+	var q Queue[int]
+	next := 0
+	for i := 0; i < 100_000; i++ {
+		q.Push(i)
+		if i < 3 {
+			continue
+		}
+		if v, ok := q.Pop(); !ok || v != next {
+			t.Fatalf("pop %d = %d, %v; want %d", i, v, ok, next)
+		}
+		next++
+	}
+	if q.Len() != 3 || cap(q.items) > 64 {
+		t.Fatalf("len %d, cap %d: the queue must stay at its depth", q.Len(), cap(q.items))
+	}
+	for ; q.Len() > 0; next++ {
+		if v, _ := q.Pop(); v != next {
+			t.Fatalf("drain popped %d, want %d", v, next)
+		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("an empty queue must report false")
+	}
+}
+
 func TestPauseHoldsDataNotCtrl(t *testing.T) {
 	eng := sim.NewEngine(1)
 	h := newHost(eng)
-	h.AddQP(&scriptedQP{pkts: []*packet.Packet{packet.DataPacket(1, 0, 1, 0, 0, 100)}})
-	ack := packet.AckPacket(1, 0, 1, 1)
+	h.AddQP(&scriptedQP{pkts: []*packet.Packet{testPkts.Data(1, 0, 1, 0, 0, 100)}})
+	ack := testPkts.Ack(1, 0, 1, 1)
 	h.QueueCtrl(ack)
 	if got := h.Dequeue(0, true); got != ack {
 		t.Fatal("PFC pause must not hold ACKs")
@@ -178,7 +210,7 @@ func TestRoundRobinAcrossQPs(t *testing.T) {
 	mk := func(flow uint64, n int) *scriptedQP {
 		q := &scriptedQP{}
 		for i := 0; i < n; i++ {
-			q.pkts = append(q.pkts, packet.DataPacket(flow, 0, 1, uint32(i), 0, 100))
+			q.pkts = append(q.pkts, testPkts.Data(flow, 0, 1, uint32(i), 0, 100))
 		}
 		return q
 	}
@@ -219,7 +251,7 @@ func TestCompactDropsFinishedQPs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.AddQP(&scriptedQP{fin: true})
 	}
-	live := &scriptedQP{pkts: []*packet.Packet{packet.DataPacket(9, 0, 1, 0, 0, 10)}}
+	live := &scriptedQP{pkts: []*packet.Packet{testPkts.Data(9, 0, 1, 0, 0, 10)}}
 	h.AddQP(live)
 	if h.Dequeue(0, false) == nil {
 		t.Fatal("live QP must be served")
@@ -230,17 +262,17 @@ func TestCompactDropsFinishedQPs(t *testing.T) {
 	}
 }
 
-// probe is a scheme whose sender and receiver record what the skeleton
+// probe is a scheme whose sender and receiver count what the skeleton
 // hands them.
 type probe struct {
 	*SendQP
-	acks, rx  []*packet.Packet
+	acks, rx  int
 	congested int
 }
 
 func (p *probe) Next(units.Time) (*packet.Packet, units.Time) { return nil, 0 }
-func (p *probe) OnAck(a *packet.Packet)                       { p.acks = append(p.acks, a) }
-func (p *probe) Receive(d *packet.Packet)                     { p.rx = append(p.rx, d) }
+func (p *probe) OnAck(*packet.Packet)                         { p.acks++ }
+func (p *probe) Receive(*packet.Packet)                       { p.rx++ }
 
 // congestionCC counts congestion signals on the probe.
 type congestionCC struct {
@@ -267,18 +299,76 @@ func TestEndpointDispatch(t *testing.T) {
 	if pr.Pkts != 3 || pr.PayloadAt(2) != 500 || ep.Sender(7) != pr {
 		t.Fatal("sender core")
 	}
-	ep.Handle(packet.AckPacket(7, 1, 0, 1))
+	ep.Handle(testPkts.Ack(7, 1, 0, 1))
 	ep.Handle(&packet.Packet{Kind: packet.KindCNP, FlowID: 7})
-	ep.Handle(packet.DataPacket(9, 1, 0, 0, 0, 100))
-	if len(pr.acks) != 1 || pr.congested != 1 || len(pr.rx) != 1 || ep.Receiver(9) != pr {
-		t.Fatalf("acks=%d cnps=%d rx=%d", len(pr.acks), pr.congested, len(pr.rx))
+	ep.Handle(testPkts.Data(9, 1, 0, 0, 0, 100))
+	if pr.acks != 1 || pr.congested != 1 || pr.rx != 1 || ep.Receiver(9) != pr {
+		t.Fatalf("acks=%d cnps=%d rx=%d", pr.acks, pr.congested, pr.rx)
 	}
 	pr.Complete(eng.Now())
-	ep.Handle(packet.AckPacket(7, 1, 0, 2))
+	ep.Handle(testPkts.Ack(7, 1, 0, 2))
 	ep.Handle(&packet.Packet{Kind: packet.KindCNP, FlowID: 7})
-	if len(pr.acks) != 1 || pr.congested != 1 || !pr.Finished() || !ep.Env.Collector.Flow(7).Done {
+	if pr.acks != 1 || pr.congested != 1 || !pr.Finished() || !ep.Env.Collector.Flow(7).Done {
 		t.Fatal("a finished flow must ignore ACKs and CNPs")
 	}
+}
+
+// TestDispatchReleasesArrivals: dispatch gives every arrival back to the
+// free list once its consumer has returned — including an ACK of a flow
+// that is already done — except a header it bounces, which travels on to
+// its sender.
+func TestDispatchReleasesArrivals(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe", HO: HOBounce})
+	ep.Env.Collector = stats.NewCollector()
+	ep.StartFlow(&workload.Flow{ID: 7, Src: 0, Dst: 1, Size: 2500})
+	echoed := testPkts.Data(7, 0, 1, 0, 0, 100)
+	echoed.Trim()
+	echoed.Bounce()
+	ho := testPkts.Data(9, 1, 0, 4, 0, 100)
+	ho.Trim()
+	late := testPkts.Ack(7, 1, 0, 3)
+	arrivals := []*packet.Packet{
+		testPkts.Ack(7, 1, 0, 1),
+		testPkts.Data(9, 1, 0, 0, 0, 100),
+		echoed,
+		ho,
+		&packet.Packet{Kind: packet.KindCNP, FlowID: 7},
+	}
+	for _, p := range arrivals {
+		ep.Handle(p)
+	}
+	pr.Complete(eng.Now())
+	ep.Handle(late)
+	for i, p := range append(arrivals, late) {
+		if p.Released() == (p == ho) {
+			t.Fatalf("arrival %d (%v): released = %v", i, p, p.Released())
+		}
+	}
+	if ep.PopCtrl() != ho {
+		t.Fatal("the bounced header must be queued toward its sender")
+	}
+	if d := ep.Env.Packets.Data(9, 1, 0, 1, 0, 100); d != late || d.Released() {
+		t.Fatal("the next packet built must reuse the last one released")
+	}
+}
+
+// TestDispatchReleasedPanics: a packet that comes back after it was
+// released (a consumer kept it, or the fabric delivered a stale pointer)
+// stops the run instead of corrupting whichever packet reuses it.
+func TestDispatchReleasedPanics(t *testing.T) {
+	ep, pr := newProbeEndpoint(sim.NewEngine(1), Scheme{Name: "probe"})
+	d := testPkts.Data(9, 1, 0, 0, 0, 100)
+	ep.Handle(d)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dispatching a released packet must panic")
+		}
+		if pr.rx != 1 {
+			t.Fatalf("receiver saw %d arrivals, want 1", pr.rx)
+		}
+	}()
+	ep.Handle(d)
 }
 
 func TestEndpointCNPRateLimit(t *testing.T) {
@@ -286,7 +376,7 @@ func TestEndpointCNPRateLimit(t *testing.T) {
 		eng := sim.NewEngine(1)
 		ep, _ := newProbeEndpoint(eng, Scheme{Name: "probe", CNP: true, DCPTags: dcp})
 		for i := 0; i < 3; i++ {
-			d := packet.DataPacket(1, 1, 0, uint32(i), 0, 100)
+			d := testPkts.Data(1, 1, 0, uint32(i), 0, 100)
 			d.ECN = true
 			ep.Handle(d)
 		}
@@ -304,15 +394,18 @@ func TestEndpointHOPolicies(t *testing.T) {
 	for _, pol := range []HOPolicy{HOIgnore, HOBounce, HOReceive} {
 		eng := sim.NewEngine(1)
 		ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe", HO: pol})
-		ho := packet.DataPacket(1, 1, 0, 4, 0, 100)
+		ho := testPkts.Data(1, 1, 0, 4, 0, 100)
 		ho.Trim()
 		ep.Handle(ho)
 		bounced := ep.PopCtrl()
-		if (bounced != nil) != (pol == HOBounce) || (len(pr.rx) == 1) != (pol == HOReceive) {
-			t.Fatalf("policy %d: bounced=%v received=%d", pol, bounced != nil, len(pr.rx))
+		if (bounced != nil) != (pol == HOBounce) || (pr.rx == 1) != (pol == HOReceive) {
+			t.Fatalf("policy %d: bounced=%v received=%d", pol, bounced != nil, pr.rx)
 		}
 		if bounced != nil && (!bounced.Echoed || bounced.Dst != 1) {
 			t.Fatal("bounce must echo the header back to its sender")
+		}
+		if ho.Released() != (pol != HOBounce) {
+			t.Fatalf("policy %d: header released = %v; only a bounced header travels on", pol, ho.Released())
 		}
 	}
 }
@@ -320,19 +413,19 @@ func TestEndpointHOPolicies(t *testing.T) {
 func TestStackDelayDefersArrivals(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ep, pr := newProbeEndpoint(eng, Scheme{Name: "probe", StackDelay: units.Microsecond})
-	ep.Handle(packet.DataPacket(1, 1, 0, 0, 0, 100))
-	if len(pr.rx) != 0 {
+	ep.Handle(testPkts.Data(1, 1, 0, 0, 0, 100))
+	if pr.rx != 0 {
 		t.Fatal("arrival processed before the stack delay")
 	}
 	eng.Run(units.Millisecond)
-	if len(pr.rx) != 1 {
+	if pr.rx != 1 {
 		t.Fatal("arrival lost")
 	}
 }
 
 func TestReorderAccept(t *testing.T) {
 	ep, _ := newProbeEndpoint(sim.NewEngine(1), Scheme{Name: "probe"})
-	first := packet.DataPacket(1, 1, 0, 2, 0, 100)
+	first := testPkts.Data(1, 1, 0, 2, 0, 100)
 	first.MsgLen = 3
 	r := NewReorder(ep, first)
 	for i, c := range []struct {
@@ -340,7 +433,7 @@ func TestReorderAccept(t *testing.T) {
 		new  bool
 		epsn uint32
 	}{{2, true, 0}, {2, false, 0}, {0, true, 1}, {1, true, 3}, {0, false, 3}} {
-		p := packet.DataPacket(1, 1, 0, c.psn, 0, 100)
+		p := testPkts.Data(1, 1, 0, c.psn, 0, 100)
 		if got := r.Accept(p); got != c.new || r.EPSN != c.epsn {
 			t.Fatalf("step %d: accept(%d) = %v epsn %d", i, c.psn, got, r.EPSN)
 		}

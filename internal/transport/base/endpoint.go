@@ -1,6 +1,8 @@
 package base
 
 import (
+	"fmt"
+
 	"dcpsim/internal/cc"
 	"dcpsim/internal/nic"
 	"dcpsim/internal/obs"
@@ -22,7 +24,8 @@ type Scheme struct {
 	// count), so timers armed here follow the controller's in event order.
 	NewSender func(q *SendQP) Sender
 	// NewReceiver builds a flow's receiver state from the first packet of
-	// the flow that reaches this host.
+	// the flow that reaches this host. first is valid only during the
+	// call: the receiver may copy its fields but not keep it.
 	NewReceiver func(ep *Endpoint, first *packet.Packet) Receiver
 	// OwnWindow marks schemes that pace themselves: their flows get no
 	// Env.CC controller (SendQP.CC is nil) and ignore CNPs.
@@ -56,20 +59,26 @@ const (
 type Sender interface {
 	QP
 	// OnAck handles an ACK-kind packet of the flow (ACK, SACK, NAK, pull).
-	// The skeleton drops it once the flow is done.
+	// The skeleton drops it once the flow is done. p is valid only during
+	// the call: the skeleton releases it when OnAck returns.
 	OnAck(p *packet.Packet)
 	sendQP() *SendQP
 }
 
 // HOSender is implemented by senders that take back bounced headers.
 type HOSender interface {
+	// OnHO handles the flow's header echoed back by its receiver. p is
+	// valid only during the call: the skeleton releases it when OnHO
+	// returns.
 	OnHO(p *packet.Packet)
 }
 
 // Receiver is a scheme's per-flow receiver policy.
 type Receiver interface {
 	// Receive handles one data packet of the flow, or a trimmed header
-	// when the scheme's HO policy is HOReceive.
+	// when the scheme's HO policy is HOReceive. p is valid only during the
+	// call: the skeleton releases it when Receive returns, so a receiver
+	// copies what it needs and never keeps p.
 	Receive(p *packet.Packet)
 }
 
@@ -83,7 +92,8 @@ type rxFlow struct {
 // Endpoint is the transport endpoint every scheme runs on: the packet
 // scheduler, the per-flow sender and receiver tables, arrival dispatch,
 // and the flow-lifecycle and placement trace events, emitted here once for
-// every scheme.
+// every scheme. Arrivals end here too: dispatch releases every packet to
+// Env.Packets once its consumer has returned.
 type Endpoint struct {
 	NIC *nic.NIC
 	Eng *sim.Engine
@@ -95,10 +105,14 @@ type Endpoint struct {
 
 	// The scheduler: a FIFO of control packets served first, then
 	// round-robin over the sender QPs.
-	ctrl []*packet.Packet
-	head int
+	ctrl Queue[*packet.Packet]
 	qps  []QP
 	rr   int
+
+	// stack holds arrivals waiting out Scheme.StackDelay, oldest first.
+	// Only schemes with a stack delay use it, so it is made on their first
+	// arrival rather than carried by every endpoint.
+	stack *Queue[*packet.Packet]
 }
 
 // NewEndpoint binds a scheme to a NIC.
@@ -147,16 +161,37 @@ func (ep *Endpoint) StartFlow(f *workload.Flow) {
 	ep.AddQP(s)
 }
 
-// Handle implements nic.Transport.
+// Handle implements nic.Transport. Under a stack delay the arrival waits
+// in the host stack first. The delay is fixed, so arrivals leave the stack
+// in the order they entered it and each Fire takes the oldest.
 func (ep *Endpoint) Handle(p *packet.Packet) {
 	if d := ep.scheme.StackDelay; d > 0 {
-		ep.Eng.AfterComp(d, sim.CompTransport, func() { ep.dispatch(p) })
+		if ep.stack == nil {
+			ep.stack = new(Queue[*packet.Packet])
+		}
+		ep.stack.Push(p)
+		ep.Eng.AfterHandler(d, sim.CompTransport, ep)
 		return
 	}
 	ep.dispatch(p)
 }
 
+// Fire implements sim.Handler: the oldest arrival in the host stack
+// reaches protocol processing.
+func (ep *Endpoint) Fire() {
+	p, _ := ep.stack.Pop()
+	ep.dispatch(p)
+}
+
+// dispatch hands an arrival to its consumer and then releases it to
+// Env.Packets, the one place a packet goes back: data after Receive, an
+// echoed header after OnHO, a header the scheme receives or ignores, an
+// ACK after OnAck or once its flow is done, and a CNP. A bounced header is
+// not released: it travels on to its sender, whose dispatch releases it.
 func (ep *Endpoint) dispatch(p *packet.Packet) {
+	if p.Released() {
+		panic(fmt.Sprintf("base: dispatch of released packet %v", p))
+	}
 	switch p.Kind {
 	case packet.KindData:
 		ep.receive(p)
@@ -174,6 +209,7 @@ func (ep *Endpoint) dispatch(p *packet.Packet) {
 			}
 			p.Bounce()
 			ep.QueueCtrl(p)
+			return
 		case ep.scheme.HO == HOReceive:
 			ep.receive(p)
 		}
@@ -186,6 +222,7 @@ func (ep *Endpoint) dispatch(p *packet.Packet) {
 			s.sendQP().CC.OnCongestion(ep.Eng.Now())
 		}
 	}
+	ep.Env.Packets.Release(p)
 }
 
 // live returns the flow's sender while the flow is still sending.
@@ -216,10 +253,9 @@ func (ep *Endpoint) maybeCNP(r *rxFlow, data *packet.Packet) {
 	}
 	r.cnpSet = true
 	r.lastCNP = now
-	ep.QueueCtrl(&packet.Packet{
-		Kind: packet.KindCNP, Tag: ep.tag(packet.TagAck), FlowID: data.FlowID,
-		Src: data.Dst, Dst: data.Src, Size: packet.CNPSize,
-	})
+	c := ep.Env.Packets.CNP(data.FlowID, data.Dst, data.Src)
+	c.Tag = ep.tag(c.Tag)
+	ep.QueueCtrl(c)
 }
 
 // tag returns t under DCP tagging, else the non-DCP tag.
@@ -233,7 +269,7 @@ func (ep *Endpoint) tag(t packet.Tag) packet.Tag {
 // Ack builds (but does not queue) the receiver's cumulative ACK answering
 // data, echoing its send timestamp for RTT estimation.
 func (ep *Endpoint) Ack(data *packet.Packet, epsn uint32) *packet.Packet {
-	a := packet.AckPacket(data.FlowID, data.Dst, data.Src, epsn)
+	a := ep.Env.Packets.Ack(data.FlowID, data.Dst, data.Src, epsn)
 	a.Tag = ep.tag(a.Tag)
 	a.SentAt = data.SentAt
 	return a
@@ -317,7 +353,7 @@ func (q *SendQP) NewTimer(fn func()) *sim.Timer {
 // Data builds flow packet psn of the given payload size and accounts it
 // as sent.
 func (q *SendQP) Data(now units.Time, psn uint32, size int, retrans bool) *packet.Packet {
-	p := packet.DataPacket(q.Flow.ID, q.Flow.Src, q.Flow.Dst, psn, 0, size)
+	p := q.ep.Env.Packets.Data(q.Flow.ID, q.Flow.Src, q.Flow.Dst, psn, 0, size)
 	p.Tag = q.ep.tag(p.Tag)
 	p.MsgLen = q.Pkts
 	p.SentAt = now

@@ -62,9 +62,11 @@ type senderQP struct {
 	ackedBytes int64
 
 	// RetransQ machinery (§4.3): entries live in host memory; the Tx path
-	// fetches batches across PCIe.
+	// fetches batches across PCIe into fetched, one fetch in flight at a
+	// time, and consumes them from fetchHead. The batch buffer is reused.
 	rq         nic.RetransQ
 	fetched    []nic.RetransEntry
+	fetchHead  int
 	fetching   bool
 	resend     []uint32 // PSNs queued by the coarse timeout fallback
 	resendHead int
@@ -127,12 +129,12 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 	env := qp.Env()
 
 	// 1. HO-triggered retransmissions from the fetched batch.
-	for len(qp.fetched) > 0 {
-		e := qp.fetched[0]
+	for qp.fetchHead < len(qp.fetched) {
+		e := qp.fetched[qp.fetchHead]
 		msn := e.MSN
 		m := qp.msgs[msn]
 		if m.acked || e.Epoch != m.retryNo {
-			qp.fetched = qp.fetched[1:]
+			qp.fetchHead++
 			continue
 		}
 		size := base.PayloadAt(m.size, env.MTU, e.Offset)
@@ -142,7 +144,7 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 				return nil, at
 			}
 		}
-		qp.fetched = qp.fetched[1:]
+		qp.fetchHead++
 		return qp.emit(now, e.PSN, msn, m, e.Offset, true), 0
 	}
 	qp.maybeFetch()
@@ -189,10 +191,9 @@ func (qp *senderQP) Next(now units.Time) (*packet.Packet, units.Time) {
 
 func (qp *senderQP) emit(now units.Time, psn, msn uint32, m *senderMsg, off uint32, retrans bool) *packet.Packet {
 	size := base.PayloadAt(m.size, qp.Env().MTU, off)
-	p := packet.DataPacket(qp.Flow.ID, qp.Flow.Src, qp.Flow.Dst, psn, msn, size)
+	p := qp.Env().Packets.Data(qp.Flow.ID, qp.Flow.Src, qp.Flow.Dst, psn, msn, size)
 	p.MsgLen = m.npkts
 	p.MsgOffset = off
-	p.SSN = msn
 	p.SRetryNo = m.retryNo
 	p.SentAt = now
 	p.Retransmitted = retrans
@@ -206,22 +207,31 @@ func (qp *senderQP) emit(now units.Time, psn, msn uint32, m *senderMsg, off uint
 // no fetched entries in hand (§4.3 steps 1–3). The PerHOFetch strawman
 // fetches one entry per WQE fetch + data fetch (two PCIe RTTs).
 func (qp *senderQP) maybeFetch() {
-	if qp.fetching || len(qp.fetched) > 0 || qp.rq.Len() == 0 || qp.Finished() {
+	if qp.fetching || qp.fetchHead < len(qp.fetched) || qp.rq.Len() == 0 || qp.Finished() {
 		return
 	}
 	qp.fetching = true
-	env := qp.Env()
-	rtt, limit := env.DCP.PCIe.RTT, nic.BatchLimit
-	if env.DCP.PerHOFetch {
-		rtt, limit = 2*rtt, 1
+	rtt := qp.Env().DCP.PCIe.RTT
+	if qp.Env().DCP.PerHOFetch {
+		rtt *= 2
 	}
-	qp.Endpoint().Eng.AfterComp(rtt, sim.CompTransport, func() {
-		qp.fetching = false
-		batch := qp.rq.FetchBatch(limit)
-		qp.fetched = append(qp.fetched, batch...)
-		qp.traceFetch(batch)
-		qp.Kick()
-	})
+	qp.Endpoint().Eng.AfterHandler(rtt, sim.CompTransport, qp)
+}
+
+// Fire implements sim.Handler: the PCIe fetch started by maybeFetch
+// completes. The previous batch was fully consumed before the fetch
+// started, so the new one overwrites the buffer.
+func (qp *senderQP) Fire() {
+	qp.fetching = false
+	limit := nic.BatchLimit
+	if qp.Env().DCP.PerHOFetch {
+		limit = 1
+	}
+	batch := qp.rq.FetchBatch(limit)
+	qp.fetched = append(qp.fetched[:0], batch...)
+	qp.fetchHead = 0
+	qp.traceFetch(batch)
+	qp.Kick()
 }
 
 // traceFetch records one EvRQFetch per entry when its PCIe fetch completes

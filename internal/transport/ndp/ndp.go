@@ -185,7 +185,7 @@ func (r *receiver) Receive(p *packet.Packet) {
 // receiver's line rate, round-robin across flows that are owed pulls.
 type puller struct {
 	ep       *base.Endpoint
-	rr       []*receiver
+	rr       base.Queue[*receiver]
 	pacer    *sim.Timer
 	on       bool
 	lastPull units.Time
@@ -195,7 +195,7 @@ type puller struct {
 func (pl *puller) enqueue(r *receiver) {
 	if r.pullDue > 0 && !r.queued {
 		r.queued = true
-		pl.rr = append(pl.rr, r)
+		pl.rr.Push(r)
 	}
 	pl.start()
 }
@@ -204,7 +204,7 @@ func (pl *puller) enqueue(r *receiver) {
 // receiver's line rate, the NDP pacing rule that keeps the access link
 // exactly full regardless of how many flows converge on it.
 func (pl *puller) start() {
-	if pl.on || len(pl.rr) == 0 {
+	if pl.on || pl.rr.Len() == 0 {
 		return
 	}
 	pl.on = true
@@ -220,21 +220,19 @@ func (pl *puller) start() {
 
 func (pl *puller) tick() {
 	pl.on = false
-	for len(pl.rr) > 0 {
-		r := pl.rr[0]
-		pl.rr = pl.rr[1:]
+	for r, ok := pl.rr.Pop(); ok; r, ok = pl.rr.Pop() {
 		if r.pullDue == 0 || r.Done() {
 			r.queued = false
 			continue
 		}
 		r.pullDue--
 		if r.pullDue > 0 {
-			pl.rr = append(pl.rr, r) // stay in the rotation
+			pl.rr.Push(r) // stay in the rotation
 		} else {
 			r.queued = false
 		}
 		pl.lastPull = pl.ep.Eng.Now()
-		pull := packet.AckPacket(r.flowID, pl.ep.NIC.ID(), r.sender, 0)
+		pull := pl.ep.Env.Packets.Ack(r.flowID, pl.ep.NIC.ID(), r.sender, 0)
 		pull.Ack = packet.AckPull
 		pl.ep.QueueCtrl(pull)
 		break
